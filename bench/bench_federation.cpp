@@ -54,7 +54,6 @@ FederationConfig federation_config(std::size_t nodes,
                                    std::size_t inbox_capacity) {
   FederationConfig config;
   config.nodes = nodes;
-  config.engine = rtos::EngineKind::kSequential;
   config.kernel.cpus = 2;
   config.kernel.seed = 42;
   config.inbox_capacity = inbox_capacity;

@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
 
   fed::FederationConfig config;
   config.nodes = 16;
-  config.engine = rtos::EngineKind::kSequential;
   config.kernel.cpus = 2;
   config.kernel.seed = 2026;
   config.inbox_capacity = 32;

@@ -143,9 +143,8 @@ void AdaptationManager::evaluate_now() {
   // kModeChange recovery hysteresis: after `recovery_polls` consecutive
   // clean passes in the degraded mode, transition back. Armed whenever the
   // ladder (either trigger) can degrade the mode.
-  const std::vector<AdaptationPolicy> policies = effective_policies();
-  const bool ladder_degrades =
-      std::any_of(policies.begin(), policies.end(), [](const auto& policy) {
+  const bool ladder_degrades = std::any_of(
+      config_.policies.begin(), config_.policies.end(), [](const auto& policy) {
         return policy.action == QosActionKind::kModeChange;
       });
   if (violations_.size() > violations_before) {
@@ -157,15 +156,6 @@ void AdaptationManager::evaluate_now() {
     clean_polls_ = 0;
     (void)drcr_->mode_controller().transition_to(config_.recovery_mode);
   }
-}
-
-std::vector<AdaptationPolicy> AdaptationManager::effective_policies() const {
-  if (!config_.policies.empty()) return config_.policies;
-  // Legacy mapping: the deprecated single action as a one-step ladder.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return {AdaptationPolicy{AdaptationTrigger::kQosRule, config_.action, 1}};
-#pragma GCC diagnostic pop
 }
 
 std::uint64_t AdaptationManager::trips_of(const std::string& component,
@@ -183,9 +173,8 @@ void AdaptationManager::act_on(const QosViolation& violation,
                                std::uint64_t trips) {
   // Of the ladder steps with a matching trigger and threshold <= trips, the
   // LAST declared one acts (rising-threshold order reads as escalation).
-  const std::vector<AdaptationPolicy> policies = effective_policies();
   const AdaptationPolicy* selected = nullptr;
-  for (const AdaptationPolicy& policy : policies) {
+  for (const AdaptationPolicy& policy : config_.policies) {
     if (policy.trigger != trigger || trips < policy.threshold) continue;
     selected = &policy;
   }

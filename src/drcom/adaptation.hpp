@@ -89,11 +89,6 @@ using QosViolationHandler = std::function<void(const QosViolation&)>;
 
 struct AdaptationConfig {
   SimDuration poll_period = milliseconds(100);
-  /// Deprecated single-action knob: with an empty `policies` list it maps to
-  /// the one-step ladder {kQosRule, action, threshold 1} — the historical
-  /// behaviour, bit for bit.
-  [[deprecated("use policies (ordered escalation ladder)")]]
-  QosActionKind action = QosActionKind::kNotify;
   /// kModeChange only: the QoS mode entered when a rule trips (the overload
   /// reaction — shrink budgets, shed optional components; docs/MODES.md).
   std::string degraded_mode = "degraded";
@@ -102,10 +97,10 @@ struct AdaptationConfig {
   /// automatic recovery.
   std::string recovery_mode;
   std::size_t recovery_polls = 0;
-  /// Ordered typed escalation ladder (appended after the legacy fields so
-  /// positional aggregate initialisation keeps its meaning). Empty = derive
-  /// a one-step ladder from the deprecated `action`.
-  std::vector<AdaptationPolicy> policies;
+  /// Ordered typed escalation ladder. The default notifies on every QoS-rule
+  /// trip and takes no other action.
+  std::vector<AdaptationPolicy> policies = {
+      {AdaptationTrigger::kQosRule, QosActionKind::kNotify, 1}};
 };
 
 /// Periodic, registry-driven QoS monitor. Construct, add rules, start().
@@ -137,10 +132,6 @@ class AdaptationManager {
   /// Internal: one timer tick (evaluate + re-arm). Public only for the
   /// self-rearming functor; not part of the API.
   void on_poll_tick();
-
-  /// The ladder actually in force: config.policies, or the one-step mapping
-  /// of the deprecated `action` when the list is empty.
-  [[nodiscard]] std::vector<AdaptationPolicy> effective_policies() const;
 
   /// Cumulative trips recorded for (component, trigger) — the escalation
   /// ladder's input.

@@ -16,29 +16,6 @@ Drcr::Drcr(osgi::Framework& framework, rtos::RtKernel& kernel,
           std::make_unique<UtilizationBudgetResolver>(config.cpu_budget)),
       events_(config.event_ring_capacity),
       contract_cache_(kernel.config().cpus), cap_router_(kernel) {
-  // Engine backend selection. The kernel necessarily predates this config
-  // (it schedules load events at construction), so the switch is a state
-  // migration, not an up-front choice. Outputs are byte-identical across
-  // backends; a failed selection (shard handle, shrinking shard count) keeps
-  // the current backend and is only logged — the stack stays functional.
-  rtos::SimEngine& engine = kernel_->engine();
-  if (config_.engine != engine.kind() ||
-      (config_.engine == rtos::EngineKind::kParallel &&
-       engine.shards() != config_.engine_shards)) {
-    rtos::EngineConfig engine_config;
-    engine_config.kind = config_.engine;
-    engine_config.shards = config_.engine == rtos::EngineKind::kParallel
-                               ? config_.engine_shards
-                               : engine.shards();
-    engine_config.lookahead =
-        kernel_->latency_model().min_cross_group_latency();
-    if (auto selected = engine.select_backend(engine_config); !selected.ok()) {
-      log::Line(log::Level::kWarn, "drcr", kernel_->now())
-          << "engine backend selection failed: "
-          << selected.error().to_string();
-    }
-  }
-
   // All DRCR series live on the kernel's registry, so one snapshot covers
   // the whole stack. Handles are registered before the initial bundle scan —
   // lifecycle events from pre-existing bundles count too.
@@ -796,18 +773,6 @@ std::uint64_t Drcr::total_contract_violations() const {
     total += record.contract_violations;
   }
   return total;
-}
-
-std::string Drcr::last_reason(const std::string& name) const {
-  const auto found = components_.find(name);
-  return found == components_.end() ? std::string{}
-                                    : found->second.last_reason;
-}
-
-ErrorCode Drcr::last_reason_code(const std::string& name) const {
-  const auto found = components_.find(name);
-  return found == components_.end() ? ErrorCode::kNone
-                                    : found->second.last_code;
 }
 
 std::vector<std::string> Drcr::component_names() const {

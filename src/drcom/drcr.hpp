@@ -105,7 +105,7 @@ class ContractMonitor;
 
 /// One-call per-component inspection surface: everything the scattered
 /// state/reason/usage getters exposed, in a single typed snapshot. Returned
-/// by Drcr::component_health(); replaces last_reason()/last_reason_code().
+/// by Drcr::component_health().
 struct ComponentHealth {
   std::string name;
   ComponentState state = ComponentState::kUnsatisfied;
@@ -145,17 +145,6 @@ struct DrcrConfig {
   /// seed behaviour, kept as an in-binary reference; decisions are identical
   /// either way.
   bool incremental_admission = true;
-  /// Simulation engine backend (rtos::EngineKind::kSequential |
-  /// kParallel). When this differs from the kernel's current backend the
-  /// constructor migrates the engine via SimEngine::select_backend() —
-  /// pending kernel events move wholesale, and the lookahead is derived from
-  /// LatencyModel::min_cross_group_latency(). Virtual-time outputs are
-  /// byte-identical either way; parallel moves execution onto engine worker
-  /// threads (docs/PARALLEL_ENGINE.md).
-  rtos::EngineKind engine = rtos::EngineKind::kSequential;
-  /// Shard count when `engine` is kParallel (>= 1; the DRCR stack itself
-  /// lives on shard 0, peers exchange cross-shard traffic via remote_send).
-  std::size_t engine_shards = 2;
   /// Opt-in second opinion at admission: when a ContractMonitor is attached,
   /// an EmpiricalResolver re-runs the budget/RTA tests with measured
   /// execution-time quantiles in place of the declared C_i (falling back to
@@ -226,16 +215,9 @@ class Drcr {
       const std::string& system_name) const;
   /// One typed snapshot of a component's state, error, declared vs observed
   /// usage, violation count, quarantine flag and the current mode
-  /// (std::nullopt for unknown names). Replaces the scattered
-  /// last_reason()/last_reason_code() getters.
+  /// (std::nullopt for unknown names).
   [[nodiscard]] std::optional<ComponentHealth> component_health(
       const std::string& name) const;
-  [[deprecated("use component_health(name)->reason")]]
-  [[nodiscard]] std::string last_reason(const std::string& name) const;
-  /// Typed counterpart of last_reason(): why the component is not active
-  /// (kNone when it is, or when the name is unknown).
-  [[deprecated("use component_health(name)->last_error")]]
-  [[nodiscard]] ErrorCode last_reason_code(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> component_names() const;
   [[nodiscard]] std::size_t active_count() const;
   /// The live hybrid instance (nullptr unless ACTIVE). Non-const: callers

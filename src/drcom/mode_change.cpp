@@ -200,8 +200,21 @@ Result<void> ModeChangeController::transition_to(const std::string& target) {
     dropped_.insert(name);
     m_drops_->add();
   }
-  for (const auto& c : shrinks) rebudget_active(*c.record, c.usage);
-  for (const auto& c : grows) rebudget_active(*c.record, c.usage);
+  // A drop can cascade a deactivation into a planned shrink or grow (a
+  // dependent of the dropped provider). Records stay in components_, but
+  // only a still-ACTIVE one has a ContractCache entry to re-fold; the
+  // others just track the mode budget like any inactive component.
+  std::size_t budget_changes = 0;
+  for (const std::vector<Change>* phase : {&shrinks, &grows}) {
+    for (const auto& c : *phase) {
+      if (c.record->state == ComponentState::kActive) {
+        rebudget_active(*c.record, c.usage);
+        ++budget_changes;
+      } else {
+        set_usage(*c.record, c.usage);
+      }
+    }
+  }
   for (const auto& c : idle_updates) set_usage(*c.record, c.usage);
   for (const auto& c : restores) {
     set_usage(*c.record, c.usage);
@@ -223,7 +236,7 @@ Result<void> ModeChangeController::transition_to(const std::string& target) {
   t.to = target;
   t.committed = true;
   t.window_end = now + window;
-  t.budget_changes = shrinks.size() + grows.size();
+  t.budget_changes = budget_changes;
   t.drops = drops.size();
   t.restores = restores.size();
   log::Line(log::Level::kInfo, "modes", now)

@@ -9,10 +9,9 @@ namespace {
 
 rtos::EngineConfig engine_config(const FederationConfig& config) {
   rtos::EngineConfig engine;
-  engine.kind = config.engine;
   engine.shards = std::max<std::size_t>(1, config.nodes);
-  // Same lookahead derivation as the Drcr ctor: the guaranteed minimum
-  // cross-group latency makes kernel-originated sends never clamp.
+  // The guaranteed minimum cross-group latency makes kernel-originated sends
+  // never clamp.
   engine.lookahead =
       rtos::LatencyModel(config.kernel.latency).min_cross_group_latency();
   return engine;
@@ -24,10 +23,6 @@ drcom::DrcrConfig drcr_config(const FederationConfig& config) {
   drcr.auto_resolve = config.auto_resolve;
   drcr.register_service = config.register_service;
   drcr.incremental_admission = config.incremental_admission;
-  // Match the federation's engine exactly so the Drcr ctor never migrates
-  // the backend (shard handles must stay valid; see SimEngine docs).
-  drcr.engine = config.engine;
-  drcr.engine_shards = std::max<std::size_t>(1, config.nodes);
   return drcr;
 }
 

@@ -1,12 +1,10 @@
 // Federation — many DRCR nodes on one virtual-time engine.
 //
 // A `Node` is one simulated machine: its own OSGi framework, RtKernel and
-// DRCR, bound to one engine shard (node i = shard i). On the parallel
-// backend each node therefore runs on its own worker thread; on the
-// sequential backend they interleave in the global (time, seq, shard) order.
-// Either way the virtual-time outputs are byte-identical (the PR 6 engine
-// contract), so federation decisions — which are pure functions of node
-// state between engine runs — are deterministic too.
+// DRCR, bound to one engine shard (node i = shard i). The nodes interleave on
+// one thread in the engine's global (time, seq, shard) order, so federation
+// decisions — which are pure functions of node state between engine runs —
+// are deterministic.
 //
 // Inter-node traffic flows over `rtos::NodeChannel`s (channel.hpp): the
 // pooled zero-copy cross-shard path with sampled cross-group latency, FIFO
@@ -14,7 +12,7 @@
 // of channels keyed (source node, target node, target mailbox) and folds the
 // counters of destroyed channels into `RetiredChannelCounters`, mirroring
 // RtKernel::RetiredMailboxCounters, so Σ(live) + retired is exact across
-// channel churn — never the racy registry-summed MessagePool::stats() path.
+// channel churn, independent of the process-wide MessagePool::stats().
 //
 // Membership: nodes can leave/join and links can partition/heal. Both are
 // modeled at the channel layer (a severed channel refuses sends at the
@@ -44,7 +42,6 @@ using NodeIndex = std::size_t;
 
 struct FederationConfig {
   std::size_t nodes = 1;
-  rtos::EngineKind engine = rtos::EngineKind::kSequential;
   /// Per-node kernel template; node i runs with `kernel.seed + i` so the
   /// nodes' latency/load draws are independent but deterministic.
   rtos::KernelConfig kernel;

@@ -6,7 +6,7 @@
 namespace drt::obs {
 
 double Histogram::quantile(double q) const {
-  const auto counts = bucket_counts();
+  const auto& counts = bucket_counts();
   std::uint64_t total = 0;
   for (const std::uint64_t c : counts) total += c;
   if (total == 0) return 0.0;
@@ -123,15 +123,15 @@ std::size_t MetricsRegistry::metric_count() const {
 
 void MetricsRegistry::reset() {
   for (auto& [name, c] : counters_) {
-    c->value_.store(0, std::memory_order_relaxed);
+    c->value_ = 0;
   }
   for (auto& [name, g] : gauges_) {
-    g->value_.store(0.0, std::memory_order_relaxed);
+    g->value_ = 0.0;
   }
   for (auto& [name, h] : histograms_) {
-    for (auto& b : h->buckets_) b.store(0, std::memory_order_relaxed);
-    h->sum_ns_.store(0.0, std::memory_order_relaxed);
-    h->count_.store(0, std::memory_order_relaxed);
+    std::fill(h->buckets_.begin(), h->buckets_.end(), 0);
+    h->sum_ns_ = 0.0;
+    h->count_ = 0;
   }
 }
 

@@ -4,7 +4,7 @@
 //   * Subsystems register handles ONCE at construction time
 //     (`registry.counter("rtos.dispatches", ...)`) and keep the returned
 //     pointer. The hot path is then a single branch on the registry's
-//     enabled flag plus a relaxed atomic add — no map lookups, no strings.
+//     enabled flag plus a plain add — no map lookups, no strings.
 //   * The registry is disabled by default; a disabled registry makes every
 //     handle operation a no-op, so instrumented code costs ~nothing in
 //     latency benches.
@@ -19,7 +19,6 @@
 // underscores and prefixes "drt_").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -35,11 +34,9 @@ class MetricsRegistry;
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-    if (*enabled_) value_.fetch_add(n, std::memory_order_relaxed);
+    if (*enabled_) value_ += n;
   }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::string& help() const { return help_; }
 
@@ -51,18 +48,16 @@ class Counter {
   std::string name_;
   std::string help_;
   const bool* enabled_;
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// Last-written instantaneous value.
 class Gauge {
  public:
   void set(double v) {
-    if (*enabled_) value_.store(v, std::memory_order_relaxed);
+    if (*enabled_) value_ = v;
   }
-  [[nodiscard]] double value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] double value() const { return value_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::string& help() const { return help_; }
 
@@ -74,7 +69,7 @@ class Gauge {
   std::string name_;
   std::string help_;
   const bool* enabled_;
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Fixed-bucket distribution. Bucket upper bounds are chosen at registration
@@ -87,27 +82,18 @@ class Histogram {
     if (!*enabled_) return;
     std::size_t i = 0;
     while (i < bounds_.size() && v > bounds_[i]) ++i;
-    buckets_[i].fetch_add(1, std::memory_order_relaxed);
-    sum_ns_.fetch_add(v, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    ++buckets_[i];
+    sum_ns_ += v;
+    ++count_;
   }
 
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) counts; index bounds().size() is +Inf.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const {
-    std::vector<std::uint64_t> out;
-    out.reserve(buckets_.size());
-    for (const auto& b : buckets_) {
-      out.push_back(b.load(std::memory_order_relaxed));
-    }
-    return out;
+  [[nodiscard]] const std::vector<std::uint64_t>& bucket_counts() const {
+    return buckets_;
   }
-  [[nodiscard]] double sum() const {
-    return sum_ns_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] double sum() const { return sum_ns_; }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
   /// Estimates the q-quantile (q in [0,1]) by a cumulative walk over the
   /// buckets with linear interpolation inside the containing bucket — the
   /// standard fixed-bucket estimator (Prometheus histogram_quantile). Values
@@ -131,10 +117,10 @@ class Histogram {
   std::string name_;
   std::string help_;
   std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
+  std::vector<std::uint64_t> buckets_;
   const bool* enabled_;
-  std::atomic<double> sum_ns_{0.0};
-  std::atomic<std::uint64_t> count_{0};
+  double sum_ns_ = 0.0;
+  std::uint64_t count_ = 0;
 };
 
 /// Point-in-time value set, ordered by name. What every exporter consumes.

@@ -17,16 +17,11 @@
 // traffic is therefore FIFO per channel — the property migration replay
 // depends on.
 //
-// Accounting (the exact, race-free counters the federation oracle sums):
+// Accounting (the exact counters the federation oracle sums):
 //   sender side   : sent, sent_bytes, severed   (written on the source shard)
 //   receiver side : arrived, accepted, rejected, unroutable (target shard)
 // Conservation:  sent == arrived + in-flight;
 //                arrived == accepted + rejected + unroutable.
-// All counters are plain (non-atomic) — each is written by exactly one
-// shard's execution context, and reads happen between engine runs where the
-// backend's barriers order everything (same contract as Mailbox counters).
-// Unlike MessagePool::stats(), nothing here sums relaxed atomics across
-// threads mid-flight: channel stats are exact whenever they are readable.
 //
 // A severed channel (partition injection) rejects sends at the source;
 // messages already in flight still arrive. restore() heals it.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -92,47 +91,7 @@ void delete_slab(MessagePool::Slab* slab) {
   ::operator delete(slab);
 }
 
-/// All live per-thread pools plus the counter totals of destroyed ones
-/// (worker threads come and go; their history must keep counting). The
-/// Meyers-singleton registry is constructed before the first pool (every
-/// pool constructor calls pool_registry()), hence destroyed after the last
-/// main-thread pool — the ordering thread_local cleanup relies on.
-struct PoolRegistry {
-  std::mutex mutex;
-  std::vector<const MessagePool*> pools;
-  std::uint64_t dead_heap_allocations = 0;
-  std::uint64_t dead_reuses = 0;
-  std::uint64_t dead_oversize = 0;
-  std::int64_t dead_live = 0;  ///< heap + reuses - releases of dead pools
-};
-
-PoolRegistry& pool_registry() {
-  static PoolRegistry registry;
-  return registry;
-}
-
 }  // namespace
-
-MessagePool::MessagePool() {
-  PoolRegistry& registry = pool_registry();
-  const std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.pools.push_back(this);
-}
-
-MessagePool::~MessagePool() {
-  trim();
-  PoolRegistry& registry = pool_registry();
-  const std::lock_guard<std::mutex> lock(registry.mutex);
-  std::erase(registry.pools, this);
-  const auto heap = heap_allocations_.load(std::memory_order_relaxed);
-  const auto reuse = reuses_.load(std::memory_order_relaxed);
-  registry.dead_heap_allocations += heap;
-  registry.dead_reuses += reuse;
-  registry.dead_oversize += oversize_.load(std::memory_order_relaxed);
-  registry.dead_live +=
-      static_cast<std::int64_t>(heap) + static_cast<std::int64_t>(reuse) -
-      static_cast<std::int64_t>(releases_.load(std::memory_order_relaxed));
-}
 
 MessagePool::Slab* MessagePool::acquire_slow(std::size_t bytes,
                                              int size_class) {
@@ -141,60 +100,25 @@ MessagePool::Slab* MessagePool::acquire_slow(std::size_t bytes,
     // Oversize: straight heap round-trip, never cached.
     slab = new_slab(bytes);
     slab->size_class = -1;
-    oversize_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.oversize;
   } else {
     slab = new_slab(class_bytes(static_cast<std::size_t>(size_class)));
     slab->size_class = size_class;
   }
-  slab->refs.store(1, std::memory_order_relaxed);
-  heap_allocations_.fetch_add(1, std::memory_order_relaxed);
+  slab->refs = 1;
+  ++stats_.heap_allocations;
+  ++stats_.live_slabs;
   return slab;
 }
 
 void MessagePool::release_oversize(Slab* slab) { delete_slab(slab); }
 
-MessagePool::Stats MessagePool::stats() const {
-  PoolRegistry& registry = pool_registry();
-  const std::lock_guard<std::mutex> lock(registry.mutex);
-  std::uint64_t heap = registry.dead_heap_allocations;
-  std::uint64_t reuse = registry.dead_reuses;
-  std::uint64_t oversize = registry.dead_oversize;
-  std::int64_t live = registry.dead_live;
-  std::int64_t free_slabs = 0;
-  std::int64_t free_bytes = 0;
-  for (const MessagePool* pool : registry.pools) {
-    const auto pool_heap =
-        pool->heap_allocations_.load(std::memory_order_relaxed);
-    const auto pool_reuse = pool->reuses_.load(std::memory_order_relaxed);
-    heap += pool_heap;
-    reuse += pool_reuse;
-    oversize += pool->oversize_.load(std::memory_order_relaxed);
-    live += static_cast<std::int64_t>(pool_heap) +
-            static_cast<std::int64_t>(pool_reuse) -
-            static_cast<std::int64_t>(
-                pool->releases_.load(std::memory_order_relaxed));
-    free_slabs += pool->free_slab_count_.load(std::memory_order_relaxed);
-    free_bytes += pool->free_byte_count_.load(std::memory_order_relaxed);
-  }
-  Stats stats;
-  stats.heap_allocations = heap;
-  stats.reuses = reuse;
-  stats.oversize = oversize;
-  stats.live_slabs = live > 0 ? static_cast<std::size_t>(live) : 0;
-  stats.free_slabs =
-      free_slabs > 0 ? static_cast<std::size_t>(free_slabs) : 0;
-  stats.free_bytes =
-      free_bytes > 0 ? static_cast<std::size_t>(free_bytes) : 0;
-  return stats;
-}
-
 void MessagePool::trim() {
   for (Slab*& head : free_lists_) {
     while (head != nullptr) {
       Slab* next = head->next_free;
-      free_slab_count_.fetch_sub(1, std::memory_order_relaxed);
-      free_byte_count_.fetch_sub(static_cast<std::int64_t>(head->capacity),
-                                 std::memory_order_relaxed);
+      --stats_.free_slabs;
+      stats_.free_bytes -= head->capacity;
       delete_slab(head);
       head = next;
     }

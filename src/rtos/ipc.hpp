@@ -24,7 +24,6 @@
 // pre-sized ring slot.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -104,16 +103,9 @@ class Shm {
 /// payloads (> kMaxPooledBytes) fall through to the heap and are freed on
 /// release.
 ///
-/// Threading (parallel engine backend): `instance()` returns a *per-thread*
-/// pool, so the acquire/release fast paths stay lock-free and fence-free —
-/// each worker shard recycles through its own free lists. The only shared
-/// state is a Slab's refcount (a Message copy may be released on a different
-/// thread than it was acquired on; the slab then simply re-homes into the
-/// releasing thread's cache) and the per-pool statistics counters, which are
-/// relaxed atomics summed across a registry of live pools by stats(). That
-/// keeps `ipc.pool.*` gauges process-global — and, because the per-virtual-
-/// time operation totals are identical in every backend, byte-identical
-/// between sequential and parallel runs.
+/// Threading: none. Every message is created, shared and released on the
+/// thread that runs the virtual-time engine, so there is one process-wide
+/// pool with plain refcounts and plain statistics counters.
 class MessagePool {
  public:
   /// Smallest slab payload. Anything that fits inline never gets here.
@@ -122,7 +114,7 @@ class MessagePool {
   static constexpr std::size_t kMaxPooledBytes = 64 * 1024;
 
   struct Slab {
-    std::atomic<std::uint32_t> refs{0};  ///< shared across threads via Message
+    std::uint32_t refs = 0;       ///< Messages sharing this payload
     std::int32_t size_class = 0;  ///< index into free_lists_; <0 = unpooled
     std::size_t capacity = 0;     ///< payload bytes
     Slab* next_free = nullptr;
@@ -140,27 +132,24 @@ class MessagePool {
     std::size_t free_bytes = 0;          ///< payload bytes held in the cache
   };
 
-  /// The calling thread's pool (engine worker threads each get their own).
+  /// The process-wide pool.
   static MessagePool& instance() {
-    static thread_local MessagePool pool;
+    static MessagePool pool;
     return pool;
   }
 
-  /// Process-global occupancy snapshot: sums the statistics counters of
-  /// every live pool (plus totals retired with destroyed pools) under the
-  /// registry lock. Never touches free lists, so it is safe to call from any
-  /// thread while others move messages.
-  [[nodiscard]] Stats stats() const;
+  /// Occupancy snapshot.
+  [[nodiscard]] Stats stats() const { return stats_; }
 
-  /// Releases every slab cached by THIS thread's pool back to the heap
-  /// (tests; memory pressure). Live slabs are unaffected.
+  /// Releases every cached slab back to the heap (tests; memory pressure).
+  /// Live slabs are unaffected.
   void trim();
 
-  ~MessagePool();
+  ~MessagePool() { trim(); }
 
  private:
   friend class Message;
-  MessagePool();
+  MessagePool() = default;
 
   /// Size class of a payload (0 for <= 64 B, 1 for <= 128 B, ...); -1 when
   /// the payload is above kMaxPooledBytes (unpooled).
@@ -172,9 +161,7 @@ class MessagePool {
   }
 
   /// Hot path, inline: serve from the size-class free list. Misses (empty
-  /// list, oversize) go out of line to the heap. Free lists are strictly
-  /// thread-local; only the stats counters are shared (relaxed: they are
-  /// monotone tallies summed at snapshot time, never synchronization).
+  /// list, oversize) go out of line to the heap.
   [[nodiscard]] Slab* acquire(std::size_t bytes) {
     const int size_class = class_of(bytes);
     if (size_class >= 0) {
@@ -182,33 +169,27 @@ class MessagePool {
       if (Slab* slab = head) {
         head = slab->next_free;
         slab->next_free = nullptr;
-        slab->refs.store(1, std::memory_order_relaxed);
-        reuses_.fetch_add(1, std::memory_order_relaxed);
-        free_slab_count_.fetch_sub(1, std::memory_order_relaxed);
-        free_byte_count_.fetch_sub(
-            static_cast<std::int64_t>(slab->capacity),
-            std::memory_order_relaxed);
+        slab->refs = 1;
+        ++stats_.reuses;
+        ++stats_.live_slabs;
+        --stats_.free_slabs;
+        stats_.free_bytes -= slab->capacity;
         return slab;
       }
     }
     return acquire_slow(bytes, size_class);
   }
-  static void add_ref(Slab* slab) {
-    slab->refs.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Hot path, inline: the last owner pushes the slab onto the RELEASING
-  /// thread's free list (acq_rel so the final owner observes every write the
-  /// other owners made through the shared payload).
+  static void add_ref(Slab* slab) { ++slab->refs; }
+  /// Hot path, inline: the last owner pushes the slab onto its free list.
   void release(Slab* slab) {
-    if (slab->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    releases_.fetch_add(1, std::memory_order_relaxed);
+    if (--slab->refs != 0) return;
+    --stats_.live_slabs;
     if (slab->size_class >= 0) {
       Slab*& head = free_lists_[static_cast<std::size_t>(slab->size_class)];
       slab->next_free = head;
       head = slab;
-      free_slab_count_.fetch_add(1, std::memory_order_relaxed);
-      free_byte_count_.fetch_add(static_cast<std::int64_t>(slab->capacity),
-                                 std::memory_order_relaxed);
+      ++stats_.free_slabs;
+      stats_.free_bytes += slab->capacity;
     } else {
       release_oversize(slab);
     }
@@ -219,15 +200,7 @@ class MessagePool {
 
   static constexpr std::size_t kClasses = 11;  // 64 .. 64Ki
   Slab* free_lists_[kClasses] = {};
-  // Per-pool tallies. Signed where cross-thread releases can drive a single
-  // pool's delta negative (acquired here, released into another pool); only
-  // the registry-wide sums are meaningful, and those never go negative.
-  std::atomic<std::uint64_t> heap_allocations_{0};
-  std::atomic<std::uint64_t> reuses_{0};
-  std::atomic<std::uint64_t> oversize_{0};
-  std::atomic<std::uint64_t> releases_{0};
-  std::atomic<std::int64_t> free_slab_count_{0};
-  std::atomic<std::int64_t> free_byte_count_{0};
+  Stats stats_;
 };
 
 /// A mailbox payload: small-buffer-optimised, pool-backed byte buffer.

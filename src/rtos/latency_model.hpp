@@ -48,10 +48,9 @@ struct LatencyModelConfig {
   /// Probability that an "idle" CPU was in a shallow sleep state and wakes
   /// almost for free (produces the deep negative tail of Table 1's MIN).
   double shallow_idle_probability = 0.04;
-  /// Minimum one-way latency between CPU groups / nodes (ns). This floor is
-  /// what makes conservative parallel simulation possible: the engine derives
-  /// its lookahead horizon from it (engine_backend.hpp), so it must be a hard
-  /// lower bound on every cross-group message, never an average.
+  /// Minimum one-way latency between CPU groups / nodes (ns). The engine's
+  /// cross-shard lookahead is derived from it (engine_core.hpp), so it must
+  /// be a hard lower bound on every cross-group message, never an average.
   double cross_group_min_latency_ns = 250'000.0;
   /// Additional uniform jitter on top of the cross-group minimum (ns).
   double cross_group_jitter_ns = 50'000.0;
@@ -75,8 +74,7 @@ class LatencyModel {
   [[nodiscard]] SimDuration sample_release_error(bool cpu_idle, Rng& rng) const;
 
   /// Hard lower bound on cross-group (inter-shard) message latency — the
-  /// engine's conservative lookahead. Never below 1 ns (a zero lookahead
-  /// would collapse every parallel window to a single event).
+  /// engine's cross-shard lookahead. Never below 1 ns.
   [[nodiscard]] SimDuration min_cross_group_latency() const;
 
   /// One-way cross-group latency draw: the guaranteed minimum plus uniform

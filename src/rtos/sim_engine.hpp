@@ -3,36 +3,20 @@
 // The entire real-time substrate (src/rtos/) runs on this engine instead of
 // wall-clock threads: every test and bench is bit-reproducible and the
 // latency experiments of the paper's §4 can be replayed deterministically.
-// Events fire in (time, key) order, where key encodes (seq, shard) — with the
-// default single-shard sequential backend that reduces to the historical
-// (time, insertion-order) contract.
+// Events fire in (time, key) order, where key encodes (seq, shard) — with a
+// single shard that reduces to (time, insertion order).
 //
-// Since PR 6 the execution strategy lives behind `EngineBackend`
-// (engine_backend.hpp): a sequential reference backend (default) and a
-// conservative parallel backend whose virtual-time outputs are byte-identical
-// to sequential. `SimEngine` is the stable facade the kernel, DRCR runtime,
-// fuzzer and benches program against; it is *bound to one shard* of the
-// backend — `schedule_at` et al. act on that shard, `schedule_on` /
+// `SimEngine` is the facade the kernel, DRCR runtime, fuzzer and benches
+// program against. It is *bound to one shard* of an `EngineCore`
+// (engine_core.hpp): `schedule_at` et al. act on that shard, `schedule_on` /
 // `post_message` reach across shards, and `run_*` drive every shard of the
-// whole backend. The default-constructed engine (one shard, sequential) is
-// observably identical to the pre-backend engine; the sequential fast path is
-// devirtualized through a concrete pointer, so the refactor costs one
-// predictable branch per call.
-//
-// Backend selection: `select_backend()` migrates all pending events, posted
-// messages, shard clocks and sequence counters into a freshly constructed
-// backend (the kernel schedules load events at construction time, before any
-// DrcrConfig is seen, so migration — not up-front choice — is the contract).
-// Outstanding EventIds remain valid across migration because both backends
-// use the identical id encoding. Shard handles (`shard_handle()`) are bound
-// to the *current* backend; create them after the final `select_backend()`.
+// core on the calling thread.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 
-#include "rtos/engine_backend.hpp"
-#include "util/result.hpp"
+#include "rtos/engine_core.hpp"
 #include "util/types.hpp"
 
 namespace drt::rtos {
@@ -41,15 +25,15 @@ class SimEngine {
  public:
   using Callback = EventFn;
 
-  /// Default engine: sequential backend, one shard (the seed configuration).
+  /// Default engine: one shard.
   SimEngine() : SimEngine(EngineConfig{}) {}
-  explicit SimEngine(const EngineConfig& config);
+  explicit SimEngine(const EngineConfig& config)
+      : owned_(std::make_unique<EngineCore>(config)), core_(owned_.get()) {}
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
-  ~SimEngine();
 
   /// This handle's shard clock.
-  [[nodiscard]] SimTime now() const { return backend_->now(shard_); }
+  [[nodiscard]] SimTime now() const { return core_->now(shard_); }
 
   /// Schedules `callback` at absolute time `when` on this handle's shard.
   /// Returns an id usable with cancel(). Scheduling into the past is defined
@@ -57,10 +41,7 @@ class SimEngine {
   /// already due at now() — callers whose computed release time just slipped
   /// by need no special casing.
   EventId schedule_at(SimTime when, Callback callback) {
-    if (seq_ != nullptr) {
-      return seq_->schedule(shard_, shard_, when, std::move(callback));
-    }
-    return backend_->schedule(shard_, shard_, when, std::move(callback));
+    return core_->schedule(shard_, shard_, when, std::move(callback));
   }
 
   /// Schedules `callback` after `delay` ns (negative delays clamp to 0).
@@ -69,14 +50,9 @@ class SimEngine {
   }
 
   /// Schedules onto another shard. The event is clamped to fire no earlier
-  /// than now() + lookahead() (conservative synchronization horizon) and is
-  /// not cancellable: returns kInvalidEvent in every backend, so code written
-  /// against one backend cannot accidentally depend on the other.
+  /// than now() + lookahead() and is not cancellable: returns kInvalidEvent.
   EventId schedule_on(ShardId target, SimTime when, Callback callback) {
-    if (seq_ != nullptr) {
-      return seq_->schedule(shard_, target, when, std::move(callback));
-    }
-    return backend_->schedule(shard_, target, when, std::move(callback));
+    return core_->schedule(shard_, target, when, std::move(callback));
   }
 
   /// Hands a pooled Message to `target` shard's MessageSink at
@@ -85,100 +61,62 @@ class SimEngine {
   /// max(when, now()).
   void post_message(ShardId target, SimTime when, void* sink_target,
                     Message message) {
-    if (seq_ != nullptr) {
-      seq_->post_message(shard_, target, when, sink_target,
-                         std::move(message));
-      return;
-    }
-    backend_->post_message(shard_, target, when, sink_target,
-                           std::move(message));
+    core_->post_message(shard_, target, when, sink_target, std::move(message));
   }
 
   /// Registers the cross-shard message delivery hook for this handle's
-  /// shard (survives select_backend migration).
+  /// shard.
   void set_message_sink(MessageSink sink) {
-    backend_->set_message_sink(shard_, sink);
+    core_->set_message_sink(shard_, sink);
   }
 
   /// Cancels a pending event in O(log n). Cancelling an already-fired or
   /// invalid id is a harmless no-op (the common case when races resolve).
-  void cancel(EventId id) {
-    if (seq_ != nullptr) {
-      seq_->cancel(shard_, id);
-      return;
-    }
-    backend_->cancel(shard_, id);
-  }
+  void cancel(EventId id) { core_->cancel(id); }
 
   /// Runs events on every shard until no work <= `deadline` remains. Every
-  /// shard clock ends at min(deadline, last event time)... i.e. exactly
-  /// `deadline` when it is ahead of the last event. Returns events fired.
-  std::size_t run_until(SimTime deadline) {
-    if (seq_ != nullptr) return seq_->run_until(deadline);
-    return backend_->run_until(deadline);
-  }
+  /// shard clock ends at `deadline` when it is ahead of the last event.
+  /// Returns events fired.
+  std::size_t run_until(SimTime deadline) { return core_->run_until(deadline); }
 
   /// Runs every pending event (including ones scheduled while running).
-  /// `max_events` is a runaway guard: exact on the sequential backend; the
-  /// parallel backend checks it at window boundaries and may overshoot by up
-  /// to one synchronization window.
+  /// `max_events` is a runaway guard.
   std::size_t run_to_completion(std::size_t max_events = 10'000'000) {
-    if (seq_ != nullptr) return seq_->run_to_completion(max_events);
-    return backend_->run_to_completion(max_events);
+    return core_->run_to_completion(max_events);
   }
 
   /// True when no live events remain on any shard.
-  [[nodiscard]] bool idle() const { return backend_->idle(); }
+  [[nodiscard]] bool idle() const { return core_->idle(); }
 
   /// Live events + undelivered cross-shard messages across all shards.
   [[nodiscard]] std::size_t pending_events() const {
-    return backend_->pending_events_total();
+    return core_->pending_events_total();
   }
 
-  /// Undelivered cross-shard messages only (exact between runs). The
-  /// federation oracle balances channel send counters against this.
+  /// Undelivered cross-shard messages only. The federation oracle balances
+  /// channel send counters against this.
   [[nodiscard]] std::size_t pending_messages() const {
-    return backend_->pending_messages_total();
+    return core_->pending_messages_total();
   }
 
-  // -- Backend management ---------------------------------------------------
-
-  [[nodiscard]] EngineKind kind() const { return backend_->kind(); }
-  [[nodiscard]] std::size_t shards() const { return backend_->shards(); }
-  [[nodiscard]] SimDuration lookahead() const { return backend_->lookahead(); }
+  [[nodiscard]] std::size_t shards() const { return core_->shards(); }
+  [[nodiscard]] SimDuration lookahead() const { return core_->lookahead(); }
   /// The shard this handle is bound to (0 for the owning engine).
   [[nodiscard]] ShardId shard() const { return shard_; }
 
-  /// Replaces the execution backend, migrating every shard's pending events,
-  /// posted messages, clock, sequence counter and message sink. Outstanding
-  /// EventIds stay valid (identical id encoding in both backends). Only legal
-  /// on the owning engine, between runs; the new config must not drop shards.
-  /// Existing shard handles are invalidated — create them after the final
-  /// selection.
-  Result<void> select_backend(const EngineConfig& config);
-
-  /// A non-owning SimEngine bound to `target` shard of the same backend —
-  /// what a per-shard kernel programs against. Valid while the owning engine
-  /// lives and until its next select_backend().
-  [[nodiscard]] std::unique_ptr<SimEngine> shard_handle(ShardId target);
+  /// A non-owning SimEngine bound to `target` shard of the same core — what
+  /// a per-shard kernel programs against. Valid while the owning engine
+  /// lives; nullptr when `target` is out of range.
+  [[nodiscard]] std::unique_ptr<SimEngine> shard_handle(ShardId target) {
+    if (target >= core_->shards()) return nullptr;
+    return std::unique_ptr<SimEngine>(new SimEngine(core_, target));
+  }
 
  private:
-  SimEngine(EngineBackend* backend, ShardId shard)
-      : backend_(backend), shard_(shard) {
-    refresh_fast_path();
-  }
-  void refresh_fast_path() {
-    seq_ = backend_->kind() == EngineKind::kSequential
-               ? static_cast<SequentialBackend*>(backend_)
-               : nullptr;
-  }
+  SimEngine(EngineCore* core, ShardId shard) : core_(core), shard_(shard) {}
 
-  std::unique_ptr<EngineBackend> owned_;  ///< null for shard handles
-  EngineBackend* backend_ = nullptr;
-  /// Devirtualized fast path: non-null iff the backend is sequential. Calls
-  /// through this concrete `final` pointer inline past the vtable, keeping
-  /// the default path as cheap as the pre-backend engine.
-  SequentialBackend* seq_ = nullptr;
+  std::unique_ptr<EngineCore> owned_;  ///< null for shard handles
+  EngineCore* core_ = nullptr;
   ShardId shard_ = 0;
 };
 

@@ -66,9 +66,8 @@ struct Options {
 void usage() {
   std::cerr
       << "usage: drt_fuzz [--seeds N] [--seed S] [--actions N] [--cpus N]\n"
-      << "                [--engine sequential|parallel] [--nodes N]\n"
-      << "                [--modes] [--monitor] [--caps] [--replay FILE]\n"
-      << "                [--out DIR]\n"
+      << "                [--nodes N] [--modes] [--monitor] [--caps]\n"
+      << "                [--replay FILE] [--out DIR]\n"
       << "                [--verify-determinism] [--planted-bug]\n"
       << "                [--planted-mode-bug] [--planted-monitor-bug]\n"
       << "                [--budget-seconds S] [--quiet]\n";
@@ -102,21 +101,11 @@ bool parse_args(int argc, char** argv, Options& options) {
       options.config.cpus = value;
     } else if (arg == "--nodes") {
       // > 1 fuzzes a federation: every node is one engine shard, so the
-      // backend's shard cap bounds the count.
+      // engine's shard cap bounds the count.
       if (!next_value(value) || value == 0 || value > drt::rtos::kMaxShards) {
         return false;
       }
       options.config.nodes = value;
-    } else if (arg == "--engine") {
-      if (i + 1 >= argc) return false;
-      const std::string kind = argv[++i];
-      if (kind == "sequential") {
-        options.config.engine = drt::rtos::EngineKind::kSequential;
-      } else if (kind == "parallel") {
-        options.config.engine = drt::rtos::EngineKind::kParallel;
-      } else {
-        return false;
-      }
     } else if (arg == "--replay") {
       if (i + 1 >= argc) return false;
       options.replay_path = argv[++i];

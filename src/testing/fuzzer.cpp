@@ -182,7 +182,6 @@ fed::FederationConfig federation_config(std::uint64_t seed,
                                         const ScenarioConfig& config) {
   fed::FederationConfig fed_config;
   fed_config.nodes = config.nodes;
-  fed_config.engine = config.engine;
   fed_config.kernel = kernel_config(seed, config);
   fed_config.cpu_budget = config.cpu_budget;
   // Every node gets a "fed.inbox" sink so kChannelSend always has a live
@@ -584,8 +583,7 @@ FuzzWorld::FuzzWorld(std::uint64_t seed, const ScenarioConfig& config)
       drcr(framework, kernel,
            {.cpu_budget = config.cpu_budget,
             .auto_resolve = true,
-            .register_service = true,
-            .engine = config.engine}),
+            .register_service = true}),
       config_(config),
       seed_(seed) {
   kernel.trace().enable();
@@ -907,7 +905,6 @@ std::string write_repro(const Repro& repro, const ScenarioResult& result) {
   out << "faults " << (repro.config.enable_faults ? 1 : 0) << '\n';
   out << "plant " << (repro.config.plant_bug ? 1 : 0) << '\n';
   out << "snapshots " << (repro.config.snapshot_checks ? 1 : 0) << '\n';
-  out << "engine " << rtos::to_string(repro.config.engine) << '\n';
   out << "nodes " << repro.config.nodes << '\n';
   out << "modes " << (repro.config.modes ? 1 : 0) << '\n';
   out << "plantmode " << (repro.config.plant_mode_bug ? 1 : 0) << '\n';
@@ -969,15 +966,12 @@ Result<Repro> parse_repro(std::string_view text) {
       if (!(fields >> value)) return bad("expected 0/1");
       repro.config.snapshot_checks = value != 0;
     } else if (key == "engine") {
-      // Absent in pre-parallel repro files; those default to sequential.
+      // Older repro files name the engine; only the sequential one exists.
       std::string value;
-      if (!(fields >> value)) return bad("expected sequential|parallel");
-      if (value == "sequential") {
-        repro.config.engine = rtos::EngineKind::kSequential;
-      } else if (value == "parallel") {
-        repro.config.engine = rtos::EngineKind::kParallel;
-      } else {
-        return bad("expected sequential|parallel");
+      if (!(fields >> value)) return bad("expected sequential");
+      if (value != "sequential") {
+        return bad("engine '" + value + "' is not available: the parallel "
+                   "backend was removed; only sequential replays");
       }
     } else if (key == "nodes") {
       // Absent in pre-federation repro files; those default to one node.

@@ -525,7 +525,7 @@ std::optional<Violation> check_federation(const fed::Federation& federation) {
   if (violation.has_value()) return violation;
 
   // (b) global conservation: every message sent but not yet arrived is
-  // sitting in an engine cross-shard ring. Retired channels drained before
+  // pending on an engine shard. Retired channels drained before
   // destruction, so live channels account for all in-flight traffic.
   const std::uint64_t in_flight = federation.in_flight_total();
   const std::size_t pending = federation.engine().pending_messages();

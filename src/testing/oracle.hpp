@@ -122,8 +122,7 @@ class InvariantOracle {
 /// alongside the per-node oracles in federation fuzz runs:
 ///
 ///   a. per-channel accounting — arrived == accepted + rejected + unroutable
-///      and arrived never exceeds sent (exact two-sided counters, never the
-///      racy registry-summed pool stats);
+///      and arrived never exceeds sent (exact two-sided counters);
 ///   b. cross-node message conservation — Σ sent - Σ arrived over live
 ///      channels equals the engine's pending cross-shard messages (channels
 ///      are the only cross-shard senders in a federation fuzz world, and

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "drcom/descriptor.hpp"
-#include "rtos/engine_backend.hpp"
 #include "rtos/fault.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
@@ -92,10 +91,6 @@ struct ScenarioConfig {
   /// catch it and the shrinker must reduce to the planted prefix).
   bool plant_bug = false;
   bool snapshot_checks = true;
-  /// Engine backend the world runs on. Scenario outcomes (action log, trace,
-  /// final state) are byte-identical across backends — drt_fuzz's
-  /// --verify-determinism and tests/test_engine_parallel.cpp enforce it.
-  rtos::EngineKind engine = rtos::EngineKind::kSequential;
   /// Adds the mode-change bands to the mix: overload-storm / flash-crowd
   /// load swings, forced QoS-mode transitions, and (federation mode)
   /// transitions racing a live migration. Some registered components then

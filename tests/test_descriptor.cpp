@@ -107,6 +107,10 @@ struct BadDescriptor {
   const char* xml;
 };
 
+// ctest names a value-parameterized case by its printed value: print the
+// case name, not the struct's (address-valued) bytes.
+void PrintTo(const BadDescriptor& bad, std::ostream* out) { *out << bad.name; }
+
 class DescriptorErrors : public ::testing::TestWithParam<BadDescriptor> {};
 
 TEST_P(DescriptorErrors, Rejected) {
@@ -211,8 +215,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "<implementation bincode=\"x\"/>"
                       "<outport name=\"p\" interface=\"RTAI.SHM\" "
                       "type=\"Integer\" size=\"999999999\"/>"
-                      "</drt:component>"}),
-    [](const auto& info) { return info.param.name; });
+                      "</drt:component>"}));
 
 // The NaN/priority/size guards must hold for programmatic descriptors too —
 // validate() is the choke point, not just the XML front-end.

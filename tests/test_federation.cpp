@@ -3,10 +3,9 @@
 // membership and partitions, the coordinator's summary protocol
 // (generation-checked publish vs the bit-identical rescan baseline), O(1)
 // best-fit placement with sibling retry, and the live-migration state
-// machine including rollback. The parallel-backend channel stress at the
-// bottom is the TSan regression for the MessagePool stats race: federation
-// accounting must come from the per-channel counters (one writer per side),
-// never from registry-summed pool statistics.
+// machine including rollback. The channel stress at the bottom checks that
+// federation accounting, which comes from the per-channel counters, balances
+// exactly under churn.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -33,12 +32,10 @@ class IdleComponent : public drcom::RtComponent {
   }
 };
 
-FederationConfig fed_config(std::size_t nodes, std::size_t inbox_capacity = 0,
-                            rtos::EngineKind engine =
-                                rtos::EngineKind::kSequential) {
+FederationConfig fed_config(std::size_t nodes,
+                            std::size_t inbox_capacity = 0) {
   FederationConfig config;
   config.nodes = nodes;
-  config.engine = engine;
   config.kernel = quiet_config(2);
   config.inbox_capacity = inbox_capacity;
   return config;
@@ -505,21 +502,16 @@ TEST(FedMigration, RefusesSystemMembersDeadAndPartitionedTargets) {
   EXPECT_EQ(coordinator.stats().migrations, 0u);
 }
 
-// ---------------------------------------------- TSan regression (stress) --
+// ------------------------------------------------------------ stress --
 
-// Exact-counter accounting under the parallel backend: four nodes on four
-// worker threads exchange bursts over every directed pair while components
-// churn. ChannelStats are plain fields written by exactly one shard's
-// execution context per side; under TSan this test is the regression for
-// the registry-summed MessagePool::stats() race the federation layer must
-// never rely on. Conservation must hold exactly at every barrier.
-TEST(FedChannel, CountersExactUnderParallelBackendChurn) {
-  // Default (stochastic) latency model: the conservative backend needs the
-  // real positive cross-group lookahead, and jitter makes the interleavings
-  // worth racing.
+// Exact-counter accounting under churn: four nodes exchange bursts over
+// every directed pair while components churn. Conservation must hold
+// exactly between every pair of engine runs.
+TEST(FedChannel, CountersExactUnderChurn) {
+  // Default (stochastic) latency model: a positive cross-group lookahead
+  // plus jitter, so deliveries from different senders interleave.
   FederationConfig config;
   config.nodes = 4;
-  config.engine = rtos::EngineKind::kParallel;
   config.kernel.cpus = 2;
   config.kernel.seed = 7;
   config.inbox_capacity = 8;
@@ -542,8 +534,7 @@ TEST(FedChannel, CountersExactUnderParallelBackendChurn) {
       }
     }
     federation.advance(5'000'000);
-    // Between runs the backend's barriers order both sides: the books must
-    // balance exactly, mid-churn, every round.
+    // Between runs the books must balance exactly, mid-churn, every round.
     const rtos::ChannelStats totals = federation.channel_totals();
     EXPECT_EQ(totals.sent, expected_sent);
     EXPECT_EQ(totals.arrived, totals.accepted + totals.dropped());

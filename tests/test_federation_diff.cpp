@@ -74,9 +74,7 @@ struct BareStack {
         drcr(framework, kernel,
              {.cpu_budget = 0.9,
               .auto_resolve = true,
-              .register_service = true,
-              .engine = rtos::EngineKind::kSequential,
-              .engine_shards = 1}) {
+              .register_service = true}) {
     kernel.trace().enable();
     kernel.metrics().enable();
     register_diff_factories(drcr);
@@ -86,7 +84,6 @@ struct BareStack {
 FederationConfig single_node_config(std::size_t cpus) {
   FederationConfig config;
   config.nodes = 1;
-  config.engine = rtos::EngineKind::kSequential;
   config.kernel = quiet_config(cpus);
   config.inbox_capacity = 0;  // no extra mailbox: byte-identical node
   return config;
@@ -248,7 +245,6 @@ ComponentDescriptor sporadic_with_trigger(const std::string& name) {
 TEST(FederationDiff, MigrationRoundTripIsDescriptorFixpointAndReplaysQueue) {
   FederationConfig config;
   config.nodes = 2;
-  config.engine = rtos::EngineKind::kSequential;
   config.kernel = quiet_config(2);
   Federation federation(config);
   for (NodeIndex i = 0; i < federation.size(); ++i) {

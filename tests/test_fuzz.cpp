@@ -64,6 +64,7 @@ TEST_F(FuzzTest, PlantedBugIsCaughtShrunkAndReplayable) {
 
   // write → parse → replay must reproduce the violation from the file alone.
   const std::string text = write_repro(Repro{seed, config, keep}, shrunk);
+  EXPECT_EQ(text.find("\nengine "), std::string::npos);
   auto parsed = parse_repro(text);
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().seed, seed);
@@ -105,6 +106,15 @@ TEST_F(FuzzTest, ReproParserRejectsMalformedInput) {
   auto zero_cpus = parse_repro("seed 1\ncpus 0\n");
   ASSERT_FALSE(zero_cpus.ok());
   EXPECT_EQ(zero_cpus.error().code, "fuzz.bad_repro");
+
+  // The parallel engine backend was removed: a repro asking for it is
+  // refused, and the error names what is gone.
+  auto parallel = parse_repro("seed 1\nengine parallel\n");
+  ASSERT_FALSE(parallel.ok());
+  EXPECT_EQ(parallel.error().code, "fuzz.bad_repro");
+  EXPECT_NE(parallel.error().message.find("parallel backend was removed"),
+            std::string::npos)
+      << parallel.error().message;
 }
 
 TEST_F(FuzzTest, ReproWithoutKeepReplaysTheFullSequence) {
@@ -113,6 +123,13 @@ TEST_F(FuzzTest, ReproWithoutKeepReplaysTheFullSequence) {
   EXPECT_EQ(parsed.value().keep.size(), 12u);
   EXPECT_EQ(parsed.value().keep.front(), 0u);
   EXPECT_EQ(parsed.value().keep.back(), 11u);
+
+  // Repro files written before the engine line was dropped still carry
+  // "engine sequential"; it parses as a no-op.
+  auto with_engine = parse_repro("seed 5\nactions 12\nengine sequential\n");
+  ASSERT_TRUE(with_engine.ok()) << with_engine.error().to_string();
+  EXPECT_EQ(with_engine.value().seed, 5u);
+  EXPECT_EQ(with_engine.value().keep.size(), 12u);
 }
 
 }  // namespace

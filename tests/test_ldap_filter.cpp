@@ -146,6 +146,10 @@ struct BadFilter {
   const char* text;
 };
 
+// ctest names a value-parameterized case by its printed value: print the
+// case name, not the struct's (address-valued) bytes.
+void PrintTo(const BadFilter& bad, std::ostream* out) { *out << bad.name; }
+
 class LdapFilterErrors : public ::testing::TestWithParam<BadFilter> {};
 
 TEST_P(LdapFilterErrors, Rejected) {
@@ -165,8 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BadFilter{"no_operator", "(abc)"},
                       BadFilter{"star_in_gte", "(a>=1*2)"},
                       BadFilter{"unescaped_paren", "(a=b(c)"},
-                      BadFilter{"empty_attr", "(=b)"}),
-    [](const auto& info) { return info.param.name; });
+                      BadFilter{"empty_attr", "(=b)"}));
 
 TEST(LdapFilter, ToStringIsNormalizedSource) {
   auto filter = Filter::parse("  (a=b)  ");

@@ -14,7 +14,9 @@
 #include "drcom/adaptation.hpp"
 #include "drcom/drcr.hpp"
 #include "drcom/mode_change.hpp"
+#include "rtos/fault.hpp"
 #include "test_helpers.hpp"
+#include "testing/oracle.hpp"
 
 namespace drt::drcom {
 namespace {
@@ -174,6 +176,47 @@ TEST(ModeChange, OptionalComponentDroppedAndRestored) {
   EXPECT_EQ(world.drcr.state_of("opt"), ComponentState::kActive);
   EXPECT_TRUE(modes.dropped_components().empty());
   EXPECT_EQ(modes.history().back().restores, 1u);
+}
+
+// A drop that cascades into a dependent the same transition re-budgets. The
+// dependent must not be re-appended to the ContractCache while it is not
+// ACTIVE: the stale entry would outlive its record (heap-use-after-free on
+// the next transition once the dependent is unregistered).
+TEST(ModeChange, DropCascadingIntoRebudgetedDependentKeepsCacheExact) {
+  ModeWorld world;
+  auto provider = mode_component("p", 0.2, 0);
+  provider.modes.push_back(absent_mode("low"));
+  provider.ports.push_back({PortDirection::kOut, "feed", PortInterface::kShm,
+                            rtos::DataType::kInteger, 4});
+  auto dependent = mode_component("d", 0.3, 0);
+  dependent.modes.push_back(budget_mode("low", 0.1));
+  dependent.ports.push_back({PortDirection::kIn, "feed", PortInterface::kShm,
+                             rtos::DataType::kInteger, 4});
+  ASSERT_TRUE(world.drcr.register_component(std::move(provider)).ok());
+  ASSERT_TRUE(world.drcr.register_component(std::move(dependent)).ok());
+  ASSERT_EQ(world.drcr.state_of("d"), ComponentState::kActive);
+
+  rtos::FaultPlan faults;
+  drt::testing::InvariantOracle oracle(world.drcr, faults, 0.9);
+  auto expect_consistent = [&](const char* step) {
+    const auto violation = oracle.check();
+    EXPECT_FALSE(violation.has_value())
+        << step << ": " << violation->invariant << ": " << violation->detail;
+  };
+
+  ModeChangeController& modes = world.drcr.mode_controller();
+  ASSERT_TRUE(modes.transition_to("low").ok());
+  EXPECT_NE(world.drcr.state_of("p"), ComponentState::kActive);
+  EXPECT_NE(world.drcr.state_of("d"), ComponentState::kActive);
+  EXPECT_TRUE(world.drcr.contract_cache().active().empty());
+  EXPECT_EQ(modes.history().back().budget_changes, 0u);
+  expect_consistent("after low");
+
+  ASSERT_TRUE(world.drcr.unregister_component("d").ok());
+  expect_consistent("after unregister");
+  ASSERT_TRUE(modes.transition_to("").ok());
+  EXPECT_EQ(world.drcr.state_of("p"), ComponentState::kActive);
+  expect_consistent("after base");
 }
 
 TEST(ModeChange, FreedBudgetReadmitsUnsatisfiedComponents) {

@@ -225,9 +225,8 @@ TEST_F(MonitorFixture, ComponentHealthSnapshotsTheRecord) {
   EXPECT_FALSE(drcr.component_health("ghost").has_value());
 }
 
-TEST_F(MonitorFixture, LegacySingleActionMapsToOneStepLadder) {
-  AdaptationManager manager(drcr);  // default config: no policies declared
-  const auto policies = manager.effective_policies();
+TEST(AdaptationDefaults, LadderIsOneStepNotify) {
+  const auto policies = AdaptationConfig{}.policies;
   ASSERT_EQ(policies.size(), 1u);
   EXPECT_EQ(policies[0].trigger, AdaptationTrigger::kQosRule);
   EXPECT_EQ(policies[0].action, QosActionKind::kNotify);

@@ -62,6 +62,10 @@ struct BadSystem {
   const char* xml;
 };
 
+// ctest names a value-parameterized case by its printed value: print the
+// case name, not the struct's (address-valued) bytes.
+void PrintTo(const BadSystem& bad, std::ostream* out) { *out << bad.name; }
+
 class SystemDescriptorErrors : public ::testing::TestWithParam<BadSystem> {};
 
 TEST_P(SystemDescriptorErrors, Rejected) {
@@ -142,8 +146,7 @@ INSTANTIATE_TEST_SUITE_P(
           </drt:component>
           <cpubudget cpu="0" limit="0.5"/></drt:system>)"},
         BadSystem{"bad_budget", R"(<drt:system name="s">
-          <cpubudget cpu="0" limit="1.5"/></drt:system>)"}),
-    [](const auto& info) { return info.param.name; });
+          <cpubudget cpu="0" limit="1.5"/></drt:system>)"}));
 
 TEST(SystemDescriptor, IncompatiblePortsInConnectionRejected) {
   auto parsed = parse_system_descriptor(R"(<drt:system name="s">

@@ -99,6 +99,10 @@ struct BadInput {
   const char* text;
 };
 
+// ctest names a value-parameterized case by its printed value: print the
+// case name, not the struct's (address-valued) bytes.
+void PrintTo(const BadInput& bad, std::ostream* out) { *out << bad.name; }
+
 class XmlParserErrors : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(XmlParserErrors, Rejected) {
@@ -121,8 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"doctype", "<!DOCTYPE a><a/>"},
         BadInput{"double_dash_comment", "<a><!-- x -- y --></a>"},
         BadInput{"unterminated_cdata", "<a><![CDATA[x</a>"},
-        BadInput{"missing_attr_ws", "<a v=\"1\"w=\"2\"/>"}),
-    [](const auto& info) { return info.param.name; });
+        BadInput{"missing_attr_ws", "<a v=\"1\"w=\"2\"/>"}));
 
 TEST(XmlParser, ErrorsCarryLineAndColumn) {
   auto doc = parse("<a>\n  <b>\n</a>");
