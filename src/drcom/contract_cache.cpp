@@ -54,8 +54,10 @@ void ContractCache::on_activate(const ComponentDescriptor& descriptor) {
   slot.declared_sum += descriptor.cpu_usage;
   if (has_recurring_contract(descriptor)) {
     RecurringEntry entry = derive_entry(descriptor);
+    const RecurringKey key{entry.priority, next_seq_};
     slot.recurring_sum += descriptor.cpu_usage;
-    slot.recurring.emplace(RecurringKey{entry.priority, next_seq_}, entry);
+    slot.recurring.emplace(key, entry);
+    slot.recurring_key.emplace(&descriptor, key);
   }
   ++next_seq_;
   ++slot.generation;
@@ -82,11 +84,10 @@ void ContractCache::on_deactivate(const ComponentDescriptor& descriptor) {
       slot.recurring_sum += survivor->cpu_usage;
     }
   }
-  for (auto it = slot.recurring.begin(); it != slot.recurring.end(); ++it) {
-    if (it->second.descriptor == &descriptor) {
-      slot.recurring.erase(it);
-      break;
-    }
+  if (const auto key = slot.recurring_key.find(&descriptor);
+      key != slot.recurring_key.end()) {
+    slot.recurring.erase(key->second);
+    slot.recurring_key.erase(key);
   }
   ++slot.generation;
 }

@@ -192,30 +192,73 @@ SimTime ResponseTimeResolver::response_time(
   return kSimTimeNever;  // iteration cap hit without converging
 }
 
-SimTime ResponseTimeResolver::solve(const std::vector<TaskEntry>& entries,
-                                    std::size_t skip_index,
-                                    const TaskEntry* extra,
-                                    const TaskEntry& task, SimTime start) {
+SimTime ResponseTimeResolver::bucketed_response_time(
+    const std::vector<Demand>& demand, const Demand& task, SimTime deadline,
+    bool in_set, const Demand* extra, SimTime start, WorkCounts& work) {
+  SimTime result = kSimTimeNever;  // iteration cap hit without converging
+  std::uint64_t iterations = 0;
+  std::uint64_t terms = 0;
   SimTime response = start;
-  for (int iteration = 0; iteration < 1'000; ++iteration) {
+  while (iterations < 1'000) {
+    ++iterations;
     SimTime next = task.cost;
-    // `entries` is sorted by (priority, activation), so the interferer set —
+    // `demand` is sorted by (priority, period), so the interfering buckets —
     // strictly higher priority preempts; equal priority round-robins and is
-    // counted as interference too — is a prefix of the vector.
-    for (std::size_t j = 0;
-         j < entries.size() && entries[j].priority <= task.priority; ++j) {
-      if (j == skip_index) continue;
-      const TaskEntry& other = entries[j];
-      next += ((response + other.period - 1) / other.period) * other.cost;
+    // counted as interference too — are a prefix of the vector.
+    for (const Demand& bucket : demand) {
+      if (bucket.priority > task.priority) break;
+      SimDuration cost = bucket.cost;
+      if (in_set && bucket.priority == task.priority &&
+          bucket.period == task.period) {
+        cost -= task.cost;  // a task does not interfere with itself
+      }
+      next += ((response + bucket.period - 1) / bucket.period) * cost;
+      ++terms;
     }
     if (extra != nullptr && extra->priority <= task.priority) {
       next += ((response + extra->period - 1) / extra->period) * extra->cost;
     }
-    if (next == response) return response;
-    if (next > task.deadline) return next;
+    if (next == response) {
+      result = response;  // fixpoint
+      break;
+    }
+    if (next > deadline) {
+      result = next;  // infeasible: first exceeding value
+      break;
+    }
     response = next;
   }
-  return kSimTimeNever;
+  ++work.solves;
+  work.iterations += iterations;
+  work.terms += terms;
+  return result;
+}
+
+SimTime ResponseTimeResolver::solve(const CpuSet& set, bool in_set,
+                                    const TaskEntry* extra,
+                                    const TaskEntry& task, SimTime start) {
+  const Demand own{task.priority, task.period, task.cost};
+  Demand other;
+  if (extra != nullptr) other = {extra->priority, extra->period, extra->cost};
+  return bucketed_response_time(set.demand, own, task.deadline, in_set,
+                                extra != nullptr ? &other : nullptr, start,
+                                work_);
+}
+
+void ResponseTimeResolver::add_demand(CpuSet& set, const TaskEntry& entry) {
+  const auto position = std::lower_bound(
+      set.demand.begin(), set.demand.end(), entry,
+      [](const Demand& bucket, const TaskEntry& key) {
+        return bucket.priority != key.priority ? bucket.priority < key.priority
+                                               : bucket.period < key.period;
+      });
+  if (position != set.demand.end() && position->priority == entry.priority &&
+      position->period == entry.period) {
+    position->cost += entry.cost;
+  } else {
+    set.demand.insert(position,
+                      Demand{entry.priority, entry.period, entry.cost});
+  }
 }
 
 ResponseTimeResolver::TaskEntry ResponseTimeResolver::make_entry(
@@ -385,12 +428,11 @@ Result<void> ResponseTimeResolver::admit_incremental(
     SimTime start = it->response;
     if (start == kSimTimeNever) start = it->cost;  // cap marker, no iterate
     const auto index = static_cast<std::size_t>(it - set.entries.begin());
-    const SimTime response = solve(set.entries, index, &cand, *it, start);
+    const SimTime response = solve(set, true, &cand, *it, start);
     pending_.updates.emplace_back(index, response);
     consider(*it, response, true);
   }
-  const SimTime cand_response =
-      solve(set.entries, set.entries.size(), nullptr, cand, cand.cost);
+  const SimTime cand_response = solve(set, false, nullptr, cand, cand.cost);
   consider(cand, cand_response, false);  // already iterated from cost
 
   if (failing != nullptr) {
@@ -399,9 +441,7 @@ Result<void> ResponseTimeResolver::admit_incremental(
       // The warm iteration may cross the deadline at a different iterate;
       // recompute from cost so the reported value matches the from-scratch
       // message exactly.
-      const auto index =
-          static_cast<std::size_t>(failing - set.entries.data());
-      report = solve(set.entries, index, &cand, *failing, failing->cost);
+      report = solve(set, true, &cand, *failing, failing->cost);
     }
     return reject(*failing, report, cpu, candidate);
   }
@@ -433,6 +473,7 @@ ResponseTimeResolver::CpuSet& ResponseTimeResolver::session_cpu(
   set.has_failure = false;
   set.next_seq = 0;
   set.entries.clear();
+  set.demand.clear();
   const RecurringMap& recurring = cache.recurring_by_priority(cpu);
   set.entries.reserve(recurring.size());
   for (const auto& [key, record] : recurring) {
@@ -445,10 +486,10 @@ ResponseTimeResolver::CpuSet& ResponseTimeResolver::session_cpu(
     entry.seq = key.second;
     set.next_seq = std::max(set.next_seq, key.second + 1);
     set.entries.push_back(entry);
+    add_demand(set, entry);
   }
-  for (std::size_t i = 0; i < set.entries.size(); ++i) {
-    TaskEntry& entry = set.entries[i];
-    entry.response = solve(set.entries, i, nullptr, entry, entry.cost);
+  for (TaskEntry& entry : set.entries) {
+    entry.response = solve(set, true, nullptr, entry, entry.cost);
     if (entry.response > entry.deadline) set.has_failure = true;
   }
   return set;
@@ -485,6 +526,7 @@ void ResponseTimeResolver::on_candidate_admitted(
         return priority < entry.priority;
       });
   set.entries.insert(position, pending_.entry);
+  add_demand(set, pending_.entry);
   ++set.next_seq;
 }
 

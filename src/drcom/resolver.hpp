@@ -208,8 +208,33 @@ class RateMonotonicResolver : public ResolvingService {
 /// message. (Sole caveat: a set needing >1000 iterations from C_i but fewer
 /// from the warm start would be capped only by the former; real task sets
 /// converge in a handful of iterations.)
+///
+/// The incremental path evaluates the recurrence over period buckets, not
+/// tasks: each CPU keeps its tasks' costs summed per (priority, period).
+/// ceil(R / T_j) depends on the interferer only through T_j, so
+///
+///     sum_j ceil(R / T_j) * C_j  =  sum_{(p,T)} ceil(R / T) * C_(p,T)
+///
+/// where C_(p,T) is the bucket's summed cost. The integer sums are exact:
+/// every iterate, fixpoint and iteration count equals the per-task loop's,
+/// at O(buckets) instead of O(tasks) per iteration. A task in the set takes
+/// its own cost out of its bucket.
 class ResponseTimeResolver : public ResolvingService {
  public:
+  /// Summed cost of every task on a CPU that shares (priority, period).
+  struct Demand {
+    int priority = 0;
+    SimDuration period = 0;
+    SimDuration cost = 0;
+  };
+  /// Deterministic work done by the bucketed recurrence: solves run,
+  /// iterations taken, and demand-bucket terms summed across them.
+  struct WorkCounts {
+    std::uint64_t solves = 0;
+    std::uint64_t iterations = 0;
+    std::uint64_t terms = 0;
+  };
+
   explicit ResponseTimeResolver(SimDuration per_job_overhead = 1'100)
       : per_job_overhead_(per_job_overhead), name_("response-time-analysis") {}
 
@@ -221,6 +246,10 @@ class ResponseTimeResolver : public ResolvingService {
   void on_candidate_admitted(const ComponentDescriptor& candidate) override;
   void end_batch(bool committed) override;
 
+  /// Work of every bucketed solve this resolver has run (the from-scratch
+  /// path is not counted).
+  [[nodiscard]] const WorkCounts& work() const { return work_; }
+
   /// Worst-case response time of a task with cost `cost` against
   /// higher-priority interferers (cost, period) pairs. When the iteration
   /// exceeds `deadline` at a finite value, returns that first exceeding
@@ -229,6 +258,17 @@ class ResponseTimeResolver : public ResolvingService {
   [[nodiscard]] static SimTime response_time(
       SimDuration cost, SimTime deadline,
       const std::vector<std::pair<SimDuration, SimDuration>>& interferers);
+
+  /// response_time() over period buckets: `demand` is sorted by (priority,
+  /// period), and every bucket at or above `task.priority` (numerically <=)
+  /// interferes. `in_set` says `task.cost` is summed into its own bucket and
+  /// must not interfere with itself; `extra`, when non-null, is one more
+  /// interferer outside `demand`. Same iterates, result and cap as
+  /// response_time() over the equivalent per-task interferer list; `work`
+  /// accumulates the counts.
+  [[nodiscard]] static SimTime bucketed_response_time(
+      const std::vector<Demand>& demand, const Demand& task, SimTime deadline,
+      bool in_set, const Demand* extra, SimTime start, WorkCounts& work);
 
  private:
   struct TaskEntry {
@@ -245,13 +285,14 @@ class ResponseTimeResolver : public ResolvingService {
     std::uint64_t seq = 0;
   };
   /// One CPU's recurring tasks sorted by (priority, seq), with memoized
-  /// response times.
+  /// response times, and their costs bucketed by (priority, period).
   struct CpuSet {
     bool built = false;
     std::uint64_t generation = 0;
     bool has_failure = false;  ///< some base entry already misses
     std::uint64_t next_seq = 0;
     std::vector<TaskEntry> entries;
+    std::vector<Demand> demand;  ///< sorted by (priority, period)
   };
 
   [[nodiscard]] Result<void> admit_from_scratch(
@@ -261,16 +302,17 @@ class ResponseTimeResolver : public ResolvingService {
   [[nodiscard]] CpuSet& session_cpu(CpuId cpu, const ContractCache& cache);
   [[nodiscard]] TaskEntry make_entry(const ComponentDescriptor& descriptor,
                                      std::uint64_t seq) const;
-  [[nodiscard]] static SimTime solve(const std::vector<TaskEntry>& entries,
-                                     std::size_t skip_index,
-                                     const TaskEntry* extra,
-                                     const TaskEntry& task, SimTime start);
+  static void add_demand(CpuSet& set, const TaskEntry& entry);
+  [[nodiscard]] SimTime solve(const CpuSet& set, bool in_set,
+                              const TaskEntry* extra, const TaskEntry& task,
+                              SimTime start);
   [[nodiscard]] Result<void> reject(const TaskEntry& task, SimTime response,
                                     CpuId cpu,
                                     const ComponentDescriptor& candidate) const;
 
   SimDuration per_job_overhead_;
   std::string name_;
+  WorkCounts work_;
 
   /// Memoized per-CPU analysis, valid while (cache_id, generation) match.
   std::uint64_t memo_cache_id_ = 0;

@@ -214,6 +214,12 @@ struct UtilizationCase {
   bool expect_misses;
 };
 
+// Names each case by its timing (e.g. T1000us_C500us); without it the test
+// name would print the struct's raw bytes, padding included.
+void PrintTo(const UtilizationCase& c, std::ostream* out) {
+  *out << "T" << c.period / 1'000 << "us_C" << c.demand / 1'000 << "us";
+}
+
 class PeriodicUtilization : public ::testing::TestWithParam<UtilizationCase> {};
 
 TEST_P(PeriodicUtilization, MissesIffOverloaded) {

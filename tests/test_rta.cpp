@@ -3,6 +3,11 @@
 // itself (analysis says feasible <=> simulation shows zero misses).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <tuple>
+#include <vector>
+
 #include "drcom/drcr.hpp"
 #include "test_helpers.hpp"
 
@@ -45,6 +50,121 @@ TEST(ResponseTime, ExactFitConverges) {
   // U = 1.0 harmonic: C=5,T=10 (hi) + C=5,D=T=10? low: R = 5 + ceil(R/10)*5
   // -> 10 == D: feasible at exactly full utilization (harmonic).
   EXPECT_EQ(ResponseTimeResolver::response_time(5, 10, {{5, 10}}), 10);
+}
+
+// ------------------------------------- bucketed_response_time() maths --
+
+using Demand = ResponseTimeResolver::Demand;
+
+/// Sums `tasks` into (priority, period) buckets, sorted by that pair.
+std::vector<Demand> bucket(const std::vector<Demand>& tasks) {
+  std::vector<Demand> demand;
+  for (const Demand& task : tasks) {
+    auto it = std::find_if(demand.begin(), demand.end(), [&](const Demand& b) {
+      return b.priority == task.priority && b.period == task.period;
+    });
+    if (it == demand.end()) {
+      demand.push_back(task);
+    } else {
+      it->cost += task.cost;
+    }
+  }
+  std::sort(demand.begin(), demand.end(), [](const Demand& a, const Demand& b) {
+    return std::tie(a.priority, a.period) < std::tie(b.priority, b.period);
+  });
+  return demand;
+}
+
+/// The per-task interferer list response_time() takes: every other task at
+/// or above `self`'s priority (numerically <=).
+std::vector<std::pair<SimDuration, SimDuration>> interferers_of(
+    const std::vector<Demand>& tasks, std::size_t self) {
+  std::vector<std::pair<SimDuration, SimDuration>> interferers;
+  for (std::size_t j = 0; j < tasks.size(); ++j) {
+    if (j != self && tasks[j].priority <= tasks[self].priority) {
+      interferers.emplace_back(tasks[j].cost, tasks[j].period);
+    }
+  }
+  return interferers;
+}
+
+TEST(BucketedResponseTime, EqualsPerTaskRecurrenceOnRandomSets) {
+  // Few periods and priorities, so buckets hold many tasks; costs span
+  // feasible and infeasible sets. A saturating priority-0 hog (C = T) makes
+  // the iterate grow by a near-constant step, so with a huge deadline the
+  // lower tasks hit the 1000-iteration cap ("diverges").
+  static const SimDuration kPeriods[] = {1'000, 2'000, 5'000, 10'000};
+  std::mt19937_64 rng(0x5eed);
+  ResponseTimeResolver::WorkCounts work;
+  std::size_t diverged = 0;
+  std::size_t missed = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 2 + rng() % 16;
+    std::vector<Demand> tasks;
+    std::vector<SimTime> deadlines;
+    if (rng() % 4 == 0) {
+      tasks.push_back(Demand{0, 1'000, 1'000});
+      deadlines.push_back(1'000);
+    }
+    while (tasks.size() < n) {
+      const SimDuration period = kPeriods[rng() % std::size(kPeriods)];
+      const auto cost = static_cast<SimDuration>(1 + rng() % (period / 8));
+      tasks.push_back(Demand{static_cast<int>(rng() % 4), period, cost});
+      deadlines.push_back(rng() % 4 == 0 ? SimTime{1'000'000'000} : period);
+    }
+    const std::vector<Demand> demand = bucket(tasks);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const SimTime expected = ResponseTimeResolver::response_time(
+          tasks[i].cost, deadlines[i], interferers_of(tasks, i));
+      const SimTime actual = ResponseTimeResolver::bucketed_response_time(
+          demand, tasks[i], deadlines[i], true, nullptr, tasks[i].cost, work);
+      ASSERT_EQ(actual, expected) << "trial " << trial << " task " << i;
+      if (expected == kSimTimeNever) ++diverged;
+      if (expected > deadlines[i]) ++missed;
+    }
+    // The same set seen by a candidate outside it, with the last task as
+    // the `extra` interferer that is not yet bucketed.
+    std::vector<Demand> base(tasks.begin(), tasks.end() - 1);
+    const Demand extra = tasks.back();
+    const std::vector<Demand> base_demand = bucket(base);
+    for (std::size_t i = 0; i + 1 < tasks.size(); ++i) {
+      const SimTime expected = ResponseTimeResolver::response_time(
+          tasks[i].cost, deadlines[i], interferers_of(tasks, i));
+      const SimTime actual = ResponseTimeResolver::bucketed_response_time(
+          base_demand, tasks[i], deadlines[i], true, &extra, tasks[i].cost,
+          work);
+      ASSERT_EQ(actual, expected) << "trial " << trial << " task " << i;
+    }
+    const Demand outsider{static_cast<int>(rng() % 4), kPeriods[0], 50};
+    std::vector<Demand> with_outsider = tasks;
+    with_outsider.push_back(outsider);
+    EXPECT_EQ(ResponseTimeResolver::bucketed_response_time(
+                  demand, outsider, kPeriods[0], false, nullptr, outsider.cost,
+                  work),
+              ResponseTimeResolver::response_time(
+                  outsider.cost, kPeriods[0],
+                  interferers_of(with_outsider, with_outsider.size() - 1)))
+        << "trial " << trial;
+  }
+  // The draw must reach every outcome, the cap included.
+  EXPECT_GT(diverged, 0u);
+  EXPECT_GT(missed, diverged);
+  EXPECT_GT(work.solves, 0u);
+}
+
+TEST(BucketedResponseTime, CountsOneTermPerInterferingBucket) {
+  // Ten tasks in two buckets at priority <= 1 and one bucket below: each
+  // iteration sums exactly the two interfering buckets.
+  std::vector<Demand> tasks;
+  for (int i = 0; i < 5; ++i) tasks.push_back(Demand{0, 10'000, 100});
+  for (int i = 0; i < 5; ++i) tasks.push_back(Demand{1, 20'000, 100});
+  tasks.push_back(Demand{2, 5'000, 100});
+  ResponseTimeResolver::WorkCounts work;
+  const SimTime response = ResponseTimeResolver::bucketed_response_time(
+      bucket(tasks), tasks[5], 20'000, true, nullptr, tasks[5].cost, work);
+  EXPECT_EQ(response, 1'000);  // 100 + 5 * 100 + 4 * 100
+  EXPECT_EQ(work.solves, 1u);
+  EXPECT_EQ(work.terms, 2 * work.iterations);
 }
 
 // --------------------------------------------------------- admit() logic --
