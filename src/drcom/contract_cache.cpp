@@ -73,6 +73,58 @@ void ContractCache::on_deactivate(const ComponentDescriptor& descriptor) {
       std::find(slot.active.begin(), slot.active.end(), &descriptor);
   if (local == slot.active.end()) return;
   slot.active.erase(local);
+  refold(slot);
+  if (const auto key = slot.recurring_key.find(&descriptor);
+      key != slot.recurring_key.end()) {
+    slot.recurring.erase(key->second);
+    slot.recurring_key.erase(key);
+  }
+  ++slot.generation;
+}
+
+void ContractCache::on_rebudget(
+    std::span<const ComponentDescriptor* const> batch) {
+  if (batch.empty()) return;
+  // Sorted copy for the membership tests of the one-pass removals.
+  std::vector<const ComponentDescriptor*> moving(batch.begin(), batch.end());
+  std::sort(moving.begin(), moving.end());
+  const auto is_moving = [&moving](const ComponentDescriptor* descriptor) {
+    return std::binary_search(moving.begin(), moving.end(), descriptor);
+  };
+  std::vector<bool> touched(per_cpu_.size(), false);
+  for (const ComponentDescriptor* descriptor : batch) {
+    touched[descriptor->target_cpu()] = true;
+  }
+  std::erase_if(active_, is_moving);
+  for (CpuId cpu = 0; cpu < per_cpu_.size(); ++cpu) {
+    if (touched[cpu]) std::erase_if(per_cpu_[cpu].active, is_moving);
+  }
+  // Re-append in batch order, each recurring entry re-keyed to the seq the
+  // sequential on_activate would assign it; the map node is reused.
+  for (const ComponentDescriptor* descriptor : batch) {
+    PerCpu& slot = per_cpu_[descriptor->target_cpu()];
+    active_.push_back(descriptor);
+    slot.active.push_back(descriptor);
+    if (has_recurring_contract(*descriptor)) {
+      RecurringKey& key = slot.recurring_key.at(descriptor);
+      auto node = slot.recurring.extract(key);
+      node.mapped() = derive_entry(*descriptor);
+      key = {node.mapped().priority, next_seq_};
+      node.key() = key;
+      slot.recurring.insert(std::move(node));
+    }
+    ++next_seq_;
+  }
+  // One re-fold per touched CPU equals the sequential result: the last
+  // on_deactivate there re-folded this list minus the appends that follow.
+  for (CpuId cpu = 0; cpu < per_cpu_.size(); ++cpu) {
+    if (!touched[cpu]) continue;
+    refold(per_cpu_[cpu]);
+    ++per_cpu_[cpu].generation;
+  }
+}
+
+void ContractCache::refold(PerCpu& slot) {
   // Subtracting a double does NOT invert the fold that produced the sum;
   // re-fold the survivors in activation order so the cached value stays
   // bit-identical to a from-scratch scan.
@@ -84,12 +136,7 @@ void ContractCache::on_deactivate(const ComponentDescriptor& descriptor) {
       slot.recurring_sum += survivor->cpu_usage;
     }
   }
-  if (const auto key = slot.recurring_key.find(&descriptor);
-      key != slot.recurring_key.end()) {
-    slot.recurring.erase(key->second);
-    slot.recurring_key.erase(key);
-  }
-  ++slot.generation;
+  ++refolds_;
 }
 
 double ContractCache::declared_utilization(CpuId cpu) const {

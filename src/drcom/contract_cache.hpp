@@ -8,11 +8,13 @@
 // sums are BIT-IDENTICAL to the left-fold an O(n) scan of the activation-
 // ordered active list would produce. Appending extends the fold exactly;
 // removal re-folds the surviving per-CPU list, so float association never
-// drifts from the from-scratch reference.
+// drifts from the from-scratch reference. A mode transition's re-budget
+// re-folds each touched CPU once (on_rebudget), not once per component.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -72,6 +74,17 @@ class ContractCache {
 
   void on_activate(const ComponentDescriptor& descriptor);
   void on_deactivate(const ComponentDescriptor& descriptor);
+  /// Re-budgets active descriptors whose cpu_usage has just changed: leaves
+  /// exactly the state that on_deactivate + on_activate of each `batch`
+  /// member in order would (same activation order, recurring keys and
+  /// entries, bit-identical sums), but removes the batch in one pass and
+  /// re-folds and bumps the generation of each touched CPU once. Every
+  /// member must be active.
+  void on_rebudget(std::span<const ComponentDescriptor* const> batch);
+
+  /// Per-CPU re-folds run so far (one per deactivation, one per CPU a
+  /// re-budget touches): a deterministic work count, not an exported metric.
+  [[nodiscard]] std::uint64_t refolds() const { return refolds_; }
 
   /// Sum of declared cpuusage of active components pinned to `cpu` —
   /// bit-identical to the activation-ordered left-fold.
@@ -113,10 +126,14 @@ class ContractCache {
     std::uint64_t generation = 0;
   };
 
+  /// Recomputes `slot`'s sums as the left-fold over its activation order.
+  void refold(PerCpu& slot);
+
   std::uint64_t cache_id_;
   std::vector<PerCpu> per_cpu_;
   std::vector<const ComponentDescriptor*> active_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t refolds_ = 0;
 };
 
 }  // namespace drt::drcom

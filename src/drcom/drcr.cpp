@@ -150,6 +150,7 @@ Result<void> Drcr::unregister_component(const std::string& name) {
   // Keep the counter == sum-over-records identity exact across churn.
   retired_violations_ += found->second.contract_violations;
   components_.erase(found);
+  if (mode_controller_ != nullptr) mode_controller_->forget(name);
   forget_system_member(name);
   emit(DrcrEventType::kUnregistered, name);
   cascade_departures();
@@ -479,16 +480,16 @@ bool Drcr::resolve_round() {
 
 void Drcr::cascade_departures() {
   // Deactivate every active component that lost an in-port provider; repeat
-  // until stable (a deactivation can strand further dependents).
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  // while a pass itself deactivated a provider (a deactivation can strand
+  // further dependents). Nothing to do until a provider departs.
+  while (cascade_pending_) {
+    cascade_pending_ = false;
+    ++work_.cascade_passes;
     for (auto& [name, record] : components_) {
       if (record.state != ComponentState::kActive) continue;
       std::string reason;
       if (!functional_satisfied(record.descriptor, &reason)) {
         deactivate(record, "dependency lost: " + reason);
-        changed = true;
       }
     }
   }
@@ -515,6 +516,7 @@ void Drcr::apply_revocations() {
 bool Drcr::functional_satisfied(
     const ComponentDescriptor& candidate, std::string* reason,
     const std::vector<ComponentRecord*>* group) const {
+  ++work_.functional_checks;
   auto provides = [&candidate](const ComponentDescriptor& provider,
                                const PortSpec& inport) {
     if (provider.name == candidate.name) return false;
@@ -701,6 +703,13 @@ void Drcr::deactivate(ComponentRecord& record, const std::string& reason) {
   cap_router_.on_component_down(record.descriptor.name);
   if (record.state == ComponentState::kActive) {
     contract_cache_.on_deactivate(record.descriptor);
+    // Only an active provider satisfies in-ports, and ports never change
+    // after registration: a departure without out-ports strands no one.
+    if (std::ranges::any_of(record.descriptor.ports, [](const PortSpec& port) {
+          return port.direction == PortDirection::kOut;
+        })) {
+      cascade_pending_ = true;
+    }
   }
   if (record.management_registration.is_valid()) {
     record.management_registration.unregister();

@@ -203,6 +203,15 @@ class Drcr {
   /// auto_resolve is on.
   void resolve();
 
+  /// Deterministic reconfiguration work: departure-cascade passes run and
+  /// functional_satisfied evaluations. Plain counters, kept out of the
+  /// metrics registry so exports stay byte-identical.
+  struct WorkCounts {
+    std::uint64_t cascade_passes = 0;
+    std::uint64_t functional_checks = 0;
+  };
+  [[nodiscard]] const WorkCounts& work() const { return work_; }
+
   // ------------------------------------------------------ introspection ---
   [[nodiscard]] std::optional<ComponentState> state_of(
       const std::string& name) const;
@@ -359,7 +368,9 @@ class Drcr {
   /// services, and activates it in two phases (prepare all out-ports, then
   /// commit all tasks). Returns true when at least one component activated.
   bool resolve_round();
-  /// Deactivates actives whose in-ports lost their provider, repeatedly.
+  /// Deactivates actives whose in-ports lost their provider, repeatedly —
+  /// only while a provider with out-ports has left ACTIVE since the last
+  /// pass (cascade_pending_), so port-less churn costs no pass.
   void cascade_departures();
   /// Prunes `name` (and its declared connections) from every stored system
   /// composition; drops a system record that becomes empty. Keeps snapshots
@@ -449,6 +460,10 @@ class Drcr {
   std::uint64_t retired_violations_ = 0;
   /// drt_fuzz --planted-monitor-bug only (see set_test_skip_quarantine_disable).
   bool test_skip_quarantine_disable_ = false;
+  /// Set by deactivate() when an out-port provider leaves ACTIVE; cleared
+  /// by each cascade pass.
+  bool cascade_pending_ = false;
+  mutable WorkCounts work_;
   bool resolving_ = false;      ///< re-entrancy guard for resolve()
   bool shutting_down_ = false;  ///< destructor in progress: no more resolution
 };

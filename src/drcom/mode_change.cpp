@@ -40,12 +40,6 @@ Result<void> ModeChangeController::transition_to(const std::string& target) {
   if (target == mode_) return Result<void>::success();
   const SimTime now = drcr_->kernel_->now();
 
-  // Names dropped by a mode whose component has since been unregistered
-  // would otherwise linger forever.
-  std::erase_if(dropped_, [&](const std::string& name) {
-    return !drcr_->components_.contains(name);
-  });
-
   // ------------------------------------------------------------- planning
   // The declared budget a mode-declaring component carries in `target`.
   // The descriptor's cpuusage field tracks the CURRENT mode, so the base
@@ -180,16 +174,6 @@ Result<void> ModeChangeController::transition_to(const std::string& target) {
                             record.descriptor.cpu_usage);
     record.descriptor.cpu_usage = usage;
   };
-  auto rebudget_active = [&](Drcr::ComponentRecord& record, double usage) {
-    // The cache folds descriptor values at call time: retire the entry under
-    // the old contract, mutate, re-append under the new one (on_deactivate
-    // re-folds the survivors, keeping the sums bit-identical to a scan).
-    drcr_->contract_cache_.on_deactivate(record.descriptor);
-    set_usage(record, usage);
-    drcr_->contract_cache_.on_activate(record.descriptor);
-    widen(record.descriptor);
-    m_budget_changes_->add();
-  };
 
   // Shrink-first: drops and decreases free budget before anything claims it,
   // so the instantaneous utilization never exceeds max(before, after).
@@ -202,19 +186,21 @@ Result<void> ModeChangeController::transition_to(const std::string& target) {
   }
   // A drop can cascade a deactivation into a planned shrink or grow (a
   // dependent of the dropped provider). Records stay in components_, but
-  // only a still-ACTIVE one has a ContractCache entry to re-fold; the
-  // others just track the mode budget like any inactive component.
-  std::size_t budget_changes = 0;
+  // only a still-ACTIVE one has a ContractCache entry to re-budget; the
+  // others just track the mode budget like any inactive component. The
+  // cache folds descriptor values at call time, so the still-ACTIVE ones
+  // are re-budgeted in one call after their new contracts are set.
+  std::vector<const ComponentDescriptor*> rebudgeted;
   for (const std::vector<Change>* phase : {&shrinks, &grows}) {
     for (const auto& c : *phase) {
-      if (c.record->state == ComponentState::kActive) {
-        rebudget_active(*c.record, c.usage);
-        ++budget_changes;
-      } else {
-        set_usage(*c.record, c.usage);
-      }
+      set_usage(*c.record, c.usage);
+      if (c.record->state != ComponentState::kActive) continue;
+      rebudgeted.push_back(&c.record->descriptor);
+      widen(c.record->descriptor);
+      m_budget_changes_->add();
     }
   }
+  drcr_->contract_cache_.on_rebudget(rebudgeted);
   for (const auto& c : idle_updates) set_usage(*c.record, c.usage);
   for (const auto& c : restores) {
     set_usage(*c.record, c.usage);
@@ -236,7 +222,7 @@ Result<void> ModeChangeController::transition_to(const std::string& target) {
   t.to = target;
   t.committed = true;
   t.window_end = now + window;
-  t.budget_changes = budget_changes;
+  t.budget_changes = rebudgeted.size();
   t.drops = drops.size();
   t.restores = restores.size();
   log::Line(log::Level::kInfo, "modes", now)

@@ -100,6 +100,12 @@ class ModeChangeController {
  private:
   friend class Drcr;  // sole creator (lazy, via Drcr::mode_controller())
   explicit ModeChangeController(Drcr& drcr);
+  /// Drops the side-table state of an unregistered component, so a later
+  /// registration under the same name starts from its own descriptor.
+  void forget(const std::string& name) {
+    dropped_.erase(name);
+    base_usage_.erase(name);
+  }
 
   Drcr* drcr_;
   std::string mode_;  ///< "" = base mode

@@ -219,6 +219,51 @@ TEST(ModeChange, DropCascadingIntoRebudgetedDependentKeepsCacheExact) {
   expect_consistent("after base");
 }
 
+// The controller's name-keyed side tables belong to one registration: a
+// component registered again under the same name starts from its own
+// descriptor, not from what the controller remembered about its predecessor.
+TEST(ModeChange, ReRegisteredNameDoesNotInheritTheOldBaseBudget) {
+  ModeWorld world;
+  auto old_a = mode_component("a", 0.3, 0);
+  old_a.modes.push_back(budget_mode("degraded", 0.1));
+  ASSERT_TRUE(world.drcr.register_component(std::move(old_a)).ok());
+  ModeChangeController& modes = world.drcr.mode_controller();
+  ASSERT_TRUE(modes.transition_to("degraded").ok());
+  EXPECT_EQ(modes.base_usage_of("a", -1.0), 0.3);
+
+  ASSERT_TRUE(world.drcr.unregister_component("a").ok());
+  EXPECT_EQ(modes.base_usage_of("a", -1.0), -1.0);
+  auto new_a = mode_component("a", 0.5, 0);
+  new_a.modes.push_back(budget_mode("degraded", 0.1));
+  ASSERT_TRUE(world.drcr.register_component(std::move(new_a)).ok());
+
+  // Back to base: the new `a` keeps its own 0.5, and admission counts it.
+  ASSERT_TRUE(modes.transition_to("").ok());
+  EXPECT_EQ(world.drcr.descriptor_of("a")->cpu_usage, 0.5);
+  EXPECT_EQ(world.drcr.system_view().declared_utilization(0), 0.5);
+  EXPECT_EQ(modes.history().back().budget_changes, 0u);
+}
+
+TEST(ModeChange, ReRegisteredDisabledNameIsNotRestored) {
+  ModeWorld world;
+  auto opt = mode_component("opt", 0.2, 0);
+  opt.modes.push_back(absent_mode("low"));
+  ASSERT_TRUE(world.drcr.register_component(opt).ok());
+  ModeChangeController& modes = world.drcr.mode_controller();
+  ASSERT_TRUE(modes.transition_to("low").ok());
+  ASSERT_TRUE(modes.dropped_components().contains("opt"));
+
+  ASSERT_TRUE(world.drcr.unregister_component("opt").ok());
+  EXPECT_TRUE(modes.dropped_components().empty());
+  opt.enabled = false;
+  ASSERT_TRUE(world.drcr.register_component(std::move(opt)).ok());
+
+  // The new `opt` was never dropped by a mode: nothing to restore.
+  ASSERT_TRUE(modes.transition_to("high").ok());
+  EXPECT_EQ(world.drcr.state_of("opt"), ComponentState::kDisabled);
+  EXPECT_EQ(modes.history().back().restores, 0u);
+}
+
 TEST(ModeChange, FreedBudgetReadmitsUnsatisfiedComponents) {
   ModeWorld world;
   auto big = mode_component("big", 0.5, 0);

@@ -12,6 +12,8 @@
 // unit coverage below.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -114,6 +116,130 @@ TEST(ContractCache, TracksCpusBeyondInitialCount) {
   EXPECT_EQ(cache.active_count_on(5), 1u);
   EXPECT_EQ(cache.declared_utilization(5), 0.5);
   EXPECT_EQ(cache.declared_utilization(3), 0.0);
+}
+
+/// Every observable of `batched` equals `reference`: activation order
+/// (global and per CPU), recurring keys and entries, and the cached sums
+/// bit for bit.
+void expect_same_cache(const ContractCache& reference,
+                       const ContractCache& batched) {
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  EXPECT_EQ(batched.active(), reference.active());
+  ASSERT_EQ(batched.cpu_count(), reference.cpu_count());
+  for (CpuId cpu = 0; cpu < reference.cpu_count(); ++cpu) {
+    SCOPED_TRACE("cpu " + std::to_string(cpu));
+    EXPECT_EQ(batched.active_on(cpu), reference.active_on(cpu));
+    EXPECT_EQ(bits(batched.declared_utilization(cpu)),
+              bits(reference.declared_utilization(cpu)));
+    EXPECT_EQ(bits(batched.recurring_utilization(cpu)),
+              bits(reference.recurring_utilization(cpu)));
+    const RecurringMap& want = reference.recurring_by_priority(cpu);
+    const RecurringMap& got = batched.recurring_by_priority(cpu);
+    ASSERT_EQ(got.size(), want.size());
+    for (auto g = got.begin(), w = want.begin(); w != want.end(); ++g, ++w) {
+      EXPECT_EQ(g->first, w->first);
+      EXPECT_EQ(g->second.descriptor, w->second.descriptor);
+      EXPECT_EQ(g->second.period, w->second.period);
+      EXPECT_EQ(g->second.base_cost, w->second.base_cost);
+      EXPECT_EQ(g->second.priority, w->second.priority);
+      EXPECT_EQ(g->second.deadline, w->second.deadline);
+    }
+  }
+}
+
+// A mode transition re-budgets its still-active components in one call. The
+// reference is the per-component path: on_deactivate, set the new budget,
+// on_activate. On random active sets the batch must leave the same state,
+// re-fold each touched CPU once and move each touched CPU's generation.
+TEST(ContractCache, RebudgetBatchMatchesSequentialReference) {
+  std::mt19937_64 rng(29);
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto usage = [&rng] {
+    return std::uniform_real_distribution<double>(0.001, 0.05)(rng);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t cpus = 1 + pick(4);
+    const std::size_t count = 1 + pick(40);
+    std::vector<ComponentDescriptor> descriptors;
+    descriptors.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string name = "c" + std::to_string(i);
+      const auto cpu = static_cast<CpuId>(pick(cpus));
+      const int priority = static_cast<int>(pick(4));
+      switch (pick(3)) {
+        case 0:
+          descriptors.push_back(periodic_component(
+              name, usage(), cpu, 100.0 * static_cast<double>(1 + pick(4)),
+              priority));
+          break;
+        case 1: {
+          ComponentDescriptor d =
+              periodic_component(name, usage(), cpu, 100.0, priority);
+          d.type = rtos::TaskType::kSporadic;
+          d.periodic.reset();
+          d.sporadic.emplace();
+          d.sporadic->min_interarrival =
+              microseconds(500 * static_cast<std::int64_t>(1 + pick(8)));
+          d.sporadic->run_on_cpu = cpu;
+          d.sporadic->priority = priority;
+          descriptors.push_back(std::move(d));
+          break;
+        }
+        default:
+          descriptors.push_back(aperiodic_component(name, usage(), cpu));
+          break;
+      }
+    }
+    ContractCache reference(cpus);
+    ContractCache batched(cpus);
+    for (const ComponentDescriptor& d : descriptors) {
+      reference.on_activate(d);
+      batched.on_activate(d);
+    }
+    // Churn both alike so activation order and seqs are not the index order.
+    for (std::size_t k = pick(count); k > 0; --k) {
+      const ComponentDescriptor& d = descriptors[pick(count)];
+      reference.on_deactivate(d);
+      batched.on_deactivate(d);
+      reference.on_activate(d);
+      batched.on_activate(d);
+    }
+    expect_same_cache(reference, batched);
+
+    for (int round = 0; round < 3; ++round) {
+      std::vector<ComponentDescriptor*> order;
+      for (ComponentDescriptor& d : descriptors) order.push_back(&d);
+      std::shuffle(order.begin(), order.end(), rng);
+      order.resize(1 + pick(order.size()));
+      std::vector<std::uint64_t> generations;
+      for (CpuId cpu = 0; cpu < batched.cpu_count(); ++cpu) {
+        generations.push_back(batched.generation(cpu));
+      }
+      std::vector<const ComponentDescriptor*> batch;
+      std::set<CpuId> touched;
+      for (ComponentDescriptor* d : order) {
+        reference.on_deactivate(*d);
+        d->cpu_usage = usage();
+        reference.on_activate(*d);
+        batch.push_back(d);
+        touched.insert(d->target_cpu());
+      }
+      const std::uint64_t refolds = batched.refolds();
+      batched.on_rebudget(batch);
+      EXPECT_EQ(batched.refolds() - refolds, touched.size());
+      for (CpuId cpu = 0; cpu < batched.cpu_count(); ++cpu) {
+        EXPECT_EQ(batched.generation(cpu) != generations[cpu],
+                  touched.contains(cpu))
+            << "cpu " << cpu;
+      }
+      expect_same_cache(reference, batched);
+    }
+  }
 }
 
 // ------------------------------------------------ SystemView overlay ----
