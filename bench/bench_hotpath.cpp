@@ -1,7 +1,7 @@
 // Microbenchmarks for the three hot dispatch paths (host wall-clock, ns/op):
 //
-//   1. SimEngine event queue — steady-state schedule+fire churn and
-//      schedule+cancel pairs with 1000 events pending.
+//   1. SimEngine event queue — steady-state schedule+fire churn (on 1, 16
+//      and 256 shards) and schedule+cancel pairs with 1000 events pending.
 //   2. RtKernel dispatch — one CPU serving N equal-priority round-robin
 //      tasks (N = 10/100/1000 ready), ns per fired event. This is the path
 //      every consume()/slice/preemption decision takes.
@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "cap/channel.hpp"
@@ -37,20 +39,31 @@ double elapsed_ns(Clock::time_point start) {
           .count());
 }
 
-/// ns per schedule+fire pair at a steady backlog of `pending` events.
-StatSummary event_churn(std::size_t pending, std::size_t ops) {
+/// ns per schedule+fire pair at a steady backlog of `pending` events spread
+/// round-robin over `shards` shards (the multi-shard rows add the cost of
+/// picking the shard whose head fires next).
+StatSummary event_churn(std::size_t pending, std::size_t ops,
+                        std::size_t shards = 1) {
   SampleSeries samples;
   for (int rep = 0; rep < kSamples; ++rep) {
-    rtos::SimEngine engine;
+    rtos::SimEngine engine(rtos::EngineConfig{.shards = shards});
+    std::vector<std::unique_ptr<rtos::SimEngine>> lanes;
+    for (rtos::ShardId s = 0; s < shards; ++s) {
+      lanes.push_back(engine.shard_handle(s));
+    }
     std::size_t fired = 0;
     // Self-replenishing events: each firing schedules its replacement one
-    // horizon ahead, so the heap stays at `pending` entries.
-    std::function<void()> tick = [&engine, &fired, &tick] {
-      ++fired;
-      engine.schedule_after(milliseconds(1), tick);
-    };
+    // horizon ahead on its own shard, so the heaps stay at `pending` entries.
+    std::vector<std::function<void()>> ticks(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+      ticks[s] = [lane = lanes[s].get(), &fired, &tick = ticks[s]] {
+        ++fired;
+        lane->schedule_after(milliseconds(1), tick);
+      };
+    }
     for (std::size_t i = 0; i < pending; ++i) {
-      engine.schedule_after(1 + static_cast<SimDuration>(i), tick);
+      lanes[i % shards]->schedule_after(1 + static_cast<SimDuration>(i),
+                                        ticks[i % shards]);
     }
     const auto start = Clock::now();
     engine.run_to_completion(ops);
@@ -256,6 +269,10 @@ int main(int argc, char** argv) {
 
   print_table_header("Event queue (ns/op)", "");
   print_table_row("sched+fire @1000", event_churn(1000, 200'000));
+  print_table_row("sched+fire @1000 x16 shards",
+                  event_churn(1000, 200'000, 16));
+  print_table_row("sched+fire @1000 x256 shards",
+                  event_churn(1000, 200'000, 256));
   print_table_row("sched+cancel @1000", event_cancel(1000, 200'000));
 
   print_table_header("Kernel dispatch (ns/event)",

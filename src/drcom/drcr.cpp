@@ -766,10 +766,10 @@ std::optional<ComponentHealth> Drcr::component_health(
   if (mode_controller_ != nullptr) {
     health.current_mode = mode_controller_->current_mode();
   }
-  health.declared_usage = health.current_mode.empty()
-                              ? record.descriptor.cpu_usage
-                              : record.descriptor.usage_in_mode(
-                                    health.current_mode);
+  // The admitted contract, as the ContractCache holds it: a component
+  // registered while a mode is active keeps its base contract until the
+  // next transition re-budgets it.
+  health.declared_usage = record.descriptor.cpu_usage;
   if (monitor_ != nullptr) {
     health.observed_usage = monitor_->observed_usage(name);
   }

@@ -10,8 +10,7 @@ namespace {
 /// so "later" sorts toward the back).
 struct MsgLater {
   bool operator()(const PendingMessage& a, const PendingMessage& b) const {
-    if (a.when != b.when) return a.when > b.when;
-    return a.key > b.key;
+    return b.at < a.at;
   }
 };
 
@@ -36,11 +35,8 @@ EventId EventQueue::push(ShardId shard, SimTime when, std::uint64_t key,
     slab_.emplace_back();
   }
   Record& rec = slab_[slot];
-  rec.when = when;
-  rec.key = key;
   rec.callback = std::move(fn);
-  rec.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(slot);
+  heap_.push_back(Node{EventKey{when, key}, slot});
   sift_up(heap_.size() - 1);
   return encode_id(shard, rec.generation, slot);
 }
@@ -61,7 +57,7 @@ void EventQueue::cancel(EventId id) {
 }
 
 EventFn EventQueue::pop() {
-  const std::uint32_t slot = heap_[0];
+  const std::uint32_t slot = heap_[0].slot;
   EventFn fn = std::move(slab_[slot].callback);
   heap_erase(0);
   // Free the slot before the caller invokes: the callback may schedule new
@@ -72,20 +68,19 @@ EventFn EventQueue::pop() {
 }
 
 void EventQueue::sift_up(std::size_t pos) {
-  const std::uint32_t slot = heap_[pos];
+  const Node node = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
-    if (!earlier(slot, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slab_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    if (!(node.at < heap_[parent].at)) break;
+    place(pos, heap_[parent]);
     pos = parent;
+    ++sift_steps_;
   }
-  heap_[pos] = slot;
-  slab_[slot].heap_pos = static_cast<std::uint32_t>(pos);
+  place(pos, node);
 }
 
 void EventQueue::sift_down(std::size_t pos) {
-  const std::uint32_t slot = heap_[pos];
+  const Node node = heap_[pos];
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first = pos * 4 + 1;
@@ -93,19 +88,18 @@ void EventQueue::sift_down(std::size_t pos) {
     std::size_t best = first;
     const std::size_t last = std::min(first + 4, n);
     for (std::size_t child = first + 1; child < last; ++child) {
-      if (earlier(heap_[child], heap_[best])) best = child;
+      if (heap_[child].at < heap_[best].at) best = child;
     }
-    if (!earlier(heap_[best], slot)) break;
-    heap_[pos] = heap_[best];
-    slab_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    if (!(heap_[best].at < node.at)) break;
+    place(pos, heap_[best]);
     pos = best;
+    ++sift_steps_;
   }
-  heap_[pos] = slot;
-  slab_[slot].heap_pos = static_cast<std::uint32_t>(pos);
+  place(pos, node);
 }
 
 void EventQueue::heap_fix(std::size_t pos) {
-  if (pos > 0 && earlier(heap_[pos], heap_[(pos - 1) / 4])) {
+  if (pos > 0 && heap_[pos].at < heap_[(pos - 1) / 4].at) {
     sift_up(pos);
   } else {
     sift_down(pos);
@@ -115,8 +109,7 @@ void EventQueue::heap_fix(std::size_t pos) {
 void EventQueue::heap_erase(std::size_t pos) {
   const std::size_t last = heap_.size() - 1;
   if (pos != last) {
-    heap_[pos] = heap_[last];
-    slab_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    heap_[pos] = heap_[last];  // heap_fix places it and records its position
     heap_.pop_back();
     heap_fix(pos);
   } else {
@@ -136,22 +129,11 @@ void EventQueue::release_slot(std::uint32_t slot) {
 // ShardCore
 // ---------------------------------------------------------------------------
 
-bool ShardCore::peek(SimTime& when, std::uint64_t& key) const {
-  SimTime ew = 0;
-  std::uint64_t ek = 0;
-  const bool has_event = queue.peek(ew, ek);
-  if (!messages.empty()) {
-    const PendingMessage& m = messages.front();
-    if (!has_event || m.when < ew || (m.when == ew && m.key < ek)) {
-      when = m.when;
-      key = m.key;
-      return true;
-    }
-  }
-  if (!has_event) return false;
-  when = ew;
-  key = ek;
-  return true;
+EventKey ShardCore::head() const {
+  const EventKey event = queue.top();
+  if (messages.empty()) return event;
+  const EventKey& message = messages.front().at;
+  return message < event ? message : event;
 }
 
 void ShardCore::msg_push(PendingMessage item) {
@@ -160,24 +142,18 @@ void ShardCore::msg_push(PendingMessage item) {
 }
 
 void ShardCore::fire_min() {
-  SimTime ew = 0;
-  std::uint64_t ek = 0;
-  const bool has_event = queue.peek(ew, ek);
-  bool use_message = false;
-  if (!messages.empty()) {
-    const PendingMessage& m = messages.front();
-    use_message = !has_event || m.when < ew || (m.when == ew && m.key < ek);
-  }
+  const bool use_message =
+      !messages.empty() && messages.front().at < queue.top();
   if (use_message) {
     std::pop_heap(messages.begin(), messages.end(), MsgLater{});
     PendingMessage m = std::move(messages.back());
     messages.pop_back();
-    now = m.when;
+    now = m.at.when;
     assert(sink.deliver != nullptr &&
            "cross-shard message arrived on a shard with no MessageSink");
     sink.deliver(sink.ctx, m.target, std::move(m.message));
   } else {
-    now = ew;
+    now = queue.top().when;
     EventFn fn = queue.pop();
     fn();
   }
@@ -196,6 +172,16 @@ EngineCore::EngineCore(const EngineConfig& config) {
     cores_[s].shard = static_cast<ShardId>(s);
   }
   lookahead_ = config.lookahead > 0 ? config.lookahead : kDefaultLookahead;
+  while (leaves_ < shards) leaves_ *= 2;
+  heads_.resize(leaves_);
+  // Every head starts empty, so each match goes to its left child.
+  tree_.resize(2 * leaves_);
+  for (std::size_t s = 0; s < leaves_; ++s) {
+    tree_[leaves_ + s] = static_cast<ShardId>(s);
+  }
+  for (std::size_t node = leaves_ - 1; node >= 1; --node) {
+    tree_[node] = tree_[2 * node];
+  }
 }
 
 std::size_t EngineCore::pending_events_total() const {
@@ -210,6 +196,16 @@ std::size_t EngineCore::pending_messages_total() const {
   return total;
 }
 
+EngineWork EngineCore::work() const {
+  EngineWork work;
+  work.events_fired = events_fired_;
+  work.head_compares = head_compares_;
+  for (const ShardCore& core : cores_) {
+    work.sift_steps += core.queue.sift_steps();
+  }
+  return work;
+}
+
 SimTime EngineCore::clamp_cross(ShardId ctx, SimTime when) const {
   const SimTime floor = sat_add(cores_[ctx].now, lookahead_);
   return when < floor ? floor : when;
@@ -218,14 +214,18 @@ SimTime EngineCore::clamp_cross(ShardId ctx, SimTime when) const {
 EventId EngineCore::schedule(ShardId ctx, ShardId target, SimTime when,
                              EventFn fn) {
   ShardCore& src = cores_[ctx];
+  const std::uint64_t key = src.make_key();
   if (ctx == target) {
     // Past times are clamped: the event fires at now(), after events already
     // due at now() (its key is newer). See the SimEngine header contract.
     if (when < src.now) when = src.now;
-    return src.queue.push(ctx, when, src.make_key(), std::move(fn));
+    const EventId id = src.queue.push(ctx, when, key, std::move(fn));
+    note_queued(ctx, EventKey{when, key});
+    return id;
   }
-  cores_[target].queue.push(target, clamp_cross(ctx, when), src.make_key(),
-                            std::move(fn));
+  when = clamp_cross(ctx, when);
+  cores_[target].queue.push(target, when, key, std::move(fn));
+  note_queued(target, EventKey{when, key});
   return kInvalidEvent;  // cross-shard posts are not cancellable
 }
 
@@ -233,36 +233,74 @@ void EngineCore::post_message(ShardId ctx, ShardId target, SimTime when,
                               void* sink_target, Message message) {
   ShardCore& src = cores_[ctx];
   PendingMessage pm;
-  pm.when = ctx == target ? std::max(when, src.now) : clamp_cross(ctx, when);
-  pm.key = src.make_key();
+  pm.at.when =
+      ctx == target ? std::max(when, src.now) : clamp_cross(ctx, when);
+  pm.at.key = src.make_key();
   pm.target = sink_target;
   pm.message = std::move(message);
+  const EventKey at = pm.at;
   cores_[target].msg_push(std::move(pm));
+  note_queued(target, at);
 }
 
 void EngineCore::cancel(EventId id) {
   const ShardId shard = EventQueue::shard_of(id);
   if (shard >= cores_.size()) return;
   cores_[shard].queue.cancel(id);
+  refresh(shard);
+}
+
+void EngineCore::note_queued(ShardId shard, const EventKey& at) {
+  // The firing shard's leaf is re-read after its item returns; any other
+  // leaf is exact, so a later item cannot change its shard's head.
+  if (shard == firing_ || !(at < heads_[shard])) return;
+  heads_[shard] = at;
+  // Only this leaf improved: it takes over each match up the path until it
+  // meets a winner it does not beat (which then also beats it above).
+  for (std::size_t node = (leaves_ + shard) / 2; node >= 1; node /= 2) {
+    if (tree_[node] == shard) continue;
+    if (!before(shard, tree_[node])) break;
+    tree_[node] = shard;
+  }
+}
+
+void EngineCore::refresh(ShardId shard) {
+  if (shard == firing_) return;
+  const EventKey head = cores_[shard].head();
+  if (head == heads_[shard]) return;
+  heads_[shard] = head;
+  replay(shard);
+}
+
+void EngineCore::replay(ShardId shard) {
+  for (std::size_t node = (leaves_ + shard) / 2; node >= 1; node /= 2) {
+    const ShardId left = tree_[2 * node];
+    const ShardId right = tree_[2 * node + 1];
+    tree_[node] = before(right, left) ? right : left;
+  }
 }
 
 bool EngineCore::fire_next(SimTime deadline) {
-  ShardCore* best = nullptr;
-  SimTime best_when = 0;
-  std::uint64_t best_key = 0;
-  for (ShardCore& core : cores_) {
-    SimTime when = 0;
-    std::uint64_t key = 0;
-    if (!core.peek(when, key)) continue;
-    if (best == nullptr || when < best_when ||
-        (when == best_when && key < best_key)) {
-      best = &core;
-      best_when = when;
-      best_key = key;
-    }
+  // A callback that runs the engine itself (or one that threw out of an
+  // earlier run) leaves its shard marked as firing: make that leaf exact
+  // before picking, and hand the mark back afterwards.
+  const ShardId outer = firing_;
+  if (outer != kNoShard) {
+    firing_ = kNoShard;
+    refresh(outer);
   }
-  if (best == nullptr || best_when > deadline) return false;
-  best->fire_min();
+  const ShardId shard = tree_[1];
+  const EventKey& head = heads_[shard];
+  if (head.empty() || head.when > deadline) {
+    firing_ = outer;
+    return false;
+  }
+  firing_ = shard;
+  ++events_fired_;
+  cores_[shard].fire_min();
+  firing_ = kNoShard;
+  refresh(shard);
+  firing_ = outer;
   return true;
 }
 

@@ -4,11 +4,14 @@
 //
 //   * `EventQueue` — an indexed 4-ary min-heap (slab records, true O(log n)
 //     cancel, generation-checked ids) keyed by a composite 64-bit `key`
-//     (see "Ordering").
+//     (see "Ordering"). Heap nodes carry their (when, key) inline, so a sift
+//     compares contiguous nodes and never loads a slab record.
 //   * `EngineCore` — every shard's heap, pending cross-shard messages, clock
 //     and sequence counter, executed on the calling thread in one global
-//     (when, key) order. `SimEngine` (sim_engine.hpp) is the facade every
-//     subsystem programs against, bound to one shard of a core.
+//     (when, key) order. A winner tree over the shards' cached heads names
+//     the next shard in O(1) and is repaired in O(log shards) per change.
+//     `SimEngine` (sim_engine.hpp) is the facade every subsystem programs
+//     against, bound to one shard of a core.
 //
 // Ordering — the (time, seq, shard) total order
 // ---------------------------------------------
@@ -140,6 +143,32 @@ class EventFn {
   const VTable* vtable_ = nullptr;
 };
 
+/// (when, key) position of a pending work item in the engine's total order.
+/// The default value is the empty position, later than every real item.
+struct EventKey {
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+  SimTime when = kSimTimeNever;
+  std::uint64_t key = kNone;  ///< composite (seq << kShardIdBits) | src shard
+
+  [[nodiscard]] bool empty() const { return key == kNone; }
+  [[nodiscard]] friend bool operator<(const EventKey& a, const EventKey& b) {
+    return a.when != b.when ? a.when < b.when : a.key < b.key;
+  }
+  [[nodiscard]] friend bool operator==(const EventKey& a, const EventKey& b) {
+    return a.when == b.when && a.key == b.key;
+  }
+};
+
+/// Host-side work counts of one EngineCore. They describe how the engine
+/// runs, not what it simulates, and live outside every metrics registry, so
+/// no export changes with them.
+struct EngineWork {
+  std::uint64_t events_fired = 0;   ///< events and messages executed
+  std::uint64_t sift_steps = 0;     ///< event-heap levels moved (up or down)
+  std::uint64_t head_compares = 0;  ///< shard-head winner-tree comparisons
+};
+
 /// Default cross-shard lookahead when the caller derives none (mirrors
 /// LatencyModelConfig::cross_group_min_latency_ns).
 inline constexpr SimDuration kDefaultLookahead = 250'000;
@@ -186,14 +215,13 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// (when, key) of the earliest event; false when empty.
-  [[nodiscard]] bool peek(SimTime& when, std::uint64_t& key) const {
-    if (heap_.empty()) return false;
-    const Record& rec = slab_[heap_[0]];
-    when = rec.when;
-    key = rec.key;
-    return true;
+  /// Position of the earliest event; empty when the queue is.
+  [[nodiscard]] EventKey top() const {
+    return heap_.empty() ? EventKey{} : heap_[0].at;
   }
+
+  /// Heap levels moved by every sift so far (see EngineWork).
+  [[nodiscard]] std::uint64_t sift_steps() const { return sift_steps_; }
 
   /// Removes and returns the earliest event's callback. The slot is released
   /// before the callback is returned, so invoking it may freely schedule new
@@ -223,21 +251,22 @@ class EventQueue {
 
  private:
   struct Record {
-    SimTime when = 0;
-    std::uint64_t key = 0;  ///< composite (seq << kShardIdBits) | src shard
     EventFn callback;
     std::uint32_t heap_pos = kNoPos;
     std::uint32_t generation = 0;
   };
+  /// One heap entry: the ordering key inline, the record slot alongside.
+  struct Node {
+    EventKey at;
+    std::uint32_t slot = 0;
+  };
   static constexpr std::uint32_t kNoPos = 0xffff'ffffu;
 
-  [[nodiscard]] bool earlier(std::uint32_t a, std::uint32_t b) const {
-    const Record& ra = slab_[a];
-    const Record& rb = slab_[b];
-    if (ra.when != rb.when) return ra.when < rb.when;
-    return ra.key < rb.key;
+  /// Stores `node` at heap position `pos` and tells its record where it is.
+  void place(std::size_t pos, const Node& node) {
+    heap_[pos] = node;
+    slab_[node.slot].heap_pos = static_cast<std::uint32_t>(pos);
   }
-
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
   void heap_fix(std::size_t pos);
@@ -246,7 +275,8 @@ class EventQueue {
 
   std::vector<Record> slab_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> heap_;  ///< record slots, 4-ary min-heap
+  std::vector<Node> heap_;  ///< 4-ary min-heap by `at`
+  std::uint64_t sift_steps_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -256,8 +286,7 @@ class EventQueue {
 /// A cross-shard message awaiting delivery on its destination shard, ordered
 /// by the same (when, key) total order as heap events.
 struct PendingMessage {
-  SimTime when = 0;
-  std::uint64_t key = 0;
+  EventKey at;
   void* target = nullptr;  ///< opaque handle passed through to the sink
   Message message;
 };
@@ -276,13 +305,9 @@ struct ShardCore {
     return (next_seq++ << kShardIdBits) | shard;
   }
 
-  /// (when, key) of the earliest pending work (event or message).
-  [[nodiscard]] bool peek(SimTime& when, std::uint64_t& key) const;
-  [[nodiscard]] SimTime next_time() const {
-    SimTime when;
-    std::uint64_t key;
-    return peek(when, key) ? when : kSimTimeNever;
-  }
+  /// Position of the earliest pending work (event or message); empty when
+  /// the shard has none.
+  [[nodiscard]] EventKey head() const;
   [[nodiscard]] std::size_t pending() const {
     return queue.size() + messages.size();
   }
@@ -338,17 +363,43 @@ class EngineCore {
   /// clock ends at the global last fired time.
   std::size_t run_to_completion(std::size_t max_events);
 
+  /// Work done so far (events fired, heap sift steps, head comparisons).
+  [[nodiscard]] EngineWork work() const;
+
  private:
-  /// Fires the globally earliest pending work item across all shards; false
-  /// when nothing is due at or before `deadline`.
+  static constexpr ShardId kNoShard = ~ShardId{0};
+
+  /// Fires the winner tree's shard when its head is due at or before
+  /// `deadline`; false otherwise.
   bool fire_next(SimTime deadline);
   [[nodiscard]] SimTime clamp_cross(ShardId ctx, SimTime when) const;
   /// Advances every shard clock that is behind to `to` (called only when no
   /// work <= `to` remains anywhere).
   void finish_clocks(SimTime to);
 
+  // Shard-head tournament. heads_[s] caches cores_[s].head() for every shard
+  // except the one firing (its leaf is re-read once its item returns);
+  // tree_ is a winner tree over heads_: leaf s sits at tree_[leaves_ + s]
+  // and tree_[1] names the shard whose head is globally earliest.
+  /// `at` was just queued on `shard`: promote it when it beats the head.
+  void note_queued(ShardId shard, const EventKey& at);
+  /// Re-reads `shard`'s head and repairs the tree when it moved.
+  void refresh(ShardId shard);
+  /// Recomputes the winners on the path from `shard`'s leaf to the root.
+  void replay(ShardId shard);
+  [[nodiscard]] bool before(ShardId a, ShardId b) {
+    ++head_compares_;
+    return heads_[a] < heads_[b];
+  }
+
   std::vector<ShardCore> cores_;
   SimDuration lookahead_ = kDefaultLookahead;
+  std::size_t leaves_ = 1;  ///< shard count rounded up to a power of two
+  std::vector<EventKey> heads_;  ///< leaves_ entries; padding stays empty
+  std::vector<ShardId> tree_;    ///< 2 * leaves_ entries; [0] unused
+  ShardId firing_ = kNoShard;
+  std::uint64_t events_fired_ = 0;
+  std::uint64_t head_compares_ = 0;
 };
 
 }  // namespace drt::rtos

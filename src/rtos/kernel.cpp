@@ -264,7 +264,8 @@ Result<TaskId> RtKernel::create_task(TaskParams params, TaskBody body) {
       << "created task #" << task->id << " '" << task->params.name << "' "
       << to_string(task->params.type) << " prio=" << task->params.priority;
   const TaskId id = task->id;
-  tasks_by_id_.emplace(id, task.get());
+  if (id >= tasks_by_id_.size()) tasks_by_id_.resize(id + 1, nullptr);
+  tasks_by_id_[id] = task.get();
   tasks_by_name_.insert_or_assign(task->params.name, id);
   tasks_.push_back(std::move(task));
   return id;
@@ -533,8 +534,7 @@ Result<void> RtKernel::delete_task(TaskId id) {
 }
 
 Task* RtKernel::find_task(TaskId id) {
-  const auto found = tasks_by_id_.find(id);
-  return found == tasks_by_id_.end() ? nullptr : found->second;
+  return id < tasks_by_id_.size() ? tasks_by_id_[id] : nullptr;
 }
 
 const Task* RtKernel::find_task(TaskId id) const {
@@ -946,40 +946,38 @@ void RtKernel::schedule_completion(Cpu& cpu, Task& task) {
       engine_->schedule_after(slice, [this, cpu_id, task_id] {
         Task* t = find_task(task_id);
         if (t == nullptr) return;
-        on_cpu_event(cpu_id, task_id, t->completion_event);
+        on_cpu_event(cpu_id, *t);
       });
 }
 
-void RtKernel::on_cpu_event(CpuId cpu_id, TaskId task_id, EventId /*event*/) {
+void RtKernel::on_cpu_event(CpuId cpu_id, Task& task) {
   Cpu& cpu = cpus_[cpu_id];
-  Task* task = find_task(task_id);
-  if (task == nullptr || cpu.running != task ||
-      task->state != TaskState::kRunning) {
+  if (cpu.running != &task || task.state != TaskState::kRunning) {
     return;  // stale event (task was suspended/deleted meanwhile)
   }
-  task->completion_event = 0;
-  charge(cpu, *task);
+  task.completion_event = 0;
+  charge(cpu, task);
   if (fault_plan_ != nullptr &&
-      fault_plan_->should_kill(task->params.name, task->id, now())) {
+      fault_plan_->should_kill(task.params.name, task.id, now())) {
     // Injected crash: the task dies mid-job, exactly as if its code faulted
     // on real hardware. The CPU is freed and the scheduler moves on.
-    task->error = std::make_exception_ptr(
+    task.error = std::make_exception_ptr(
         std::runtime_error("fault injection: task killed mid-job"));
     cpu.running = nullptr;
-    finish_task(*task);
+    finish_task(task);
     settle();
     return;
   }
-  if (task->remaining_demand <= 0) {
-    task->remaining_demand = 0;
-    serve(*task);
+  if (task.remaining_demand <= 0) {
+    task.remaining_demand = 0;
+    serve(task);
     return;
   }
   // Quantum expiry: rotate to the back of the equal-priority class.
   m_.slice_rotations->add();
-  trace_.add(now(), TraceKind::kSliceRotated, task->id, cpu_id);
+  trace_.add(now(), TraceKind::kSliceRotated, task.id, cpu_id);
   cpu.running = nullptr;
-  make_ready(*task, /*fresh_quantum=*/true);
+  make_ready(task, /*fresh_quantum=*/true);
   settle();
 }
 
@@ -1191,29 +1189,28 @@ void RtKernel::arm_release(Task& task, SimTime ideal) {
         Task* t = find_task(task_id);
         if (t == nullptr) return;
         t->release_event = 0;
-        on_timer_fire(task_id, ideal, 0);
+        on_timer_fire(*t, ideal);
       });
 }
 
-void RtKernel::on_timer_fire(TaskId task_id, SimTime ideal, EventId) {
-  Task* task = find_task(task_id);
-  if (task == nullptr) return;
-  if (task->state == TaskState::kSuspended) {
+void RtKernel::on_timer_fire(Task& task, SimTime ideal) {
+  if (task.state == TaskState::kSuspended) {
     // Release swallowed by suspension; resume_task re-arms.
-    ++task->stats.skipped_releases;
-    task->resume_needs_release = true;
+    ++task.stats.skipped_releases;
+    task.resume_needs_release = true;
     return;
   }
-  if (task->state != TaskState::kWaitingPeriod) return;  // stale
+  if (task.state != TaskState::kWaitingPeriod) return;  // stale
   // Stage 2 of the wake path: interrupt -> runnable, cost depends on the
   // CPU's state at this very instant.
-  const bool idle = cpu_idle_for_wake(task->params.cpu);
+  const bool idle = cpu_idle_for_wake(task.params.cpu);
   SimDuration wake_cost = latency_model_.sample_wake_cost(idle, rng_);
   if (fault_plan_ != nullptr) {
     // Delayed-wakeup fault: the release interrupt is serviced late.
-    wake_cost += fault_plan_->wake_delay(task->params.name, task->id, now());
+    wake_cost += fault_plan_->wake_delay(task.params.name, task.id, now());
   }
-  task->release_event =
+  const TaskId task_id = task.id;
+  task.release_event =
       engine_->schedule_after(wake_cost, [this, task_id, ideal] {
         Task* t = find_task(task_id);
         if (t == nullptr || t->state != TaskState::kWaitingPeriod) return;

@@ -297,11 +297,11 @@ class RtKernel {
   void dispatch(Cpu& cpu, Task& task);
   void preempt(Cpu& cpu);
   void schedule_completion(Cpu& cpu, Task& task);
-  void on_cpu_event(CpuId cpu_id, TaskId task_id, EventId event);
+  void on_cpu_event(CpuId cpu_id, Task& task);
   void serve(Task& task);
   void settle();
   void arm_release(Task& task, SimTime ideal);
-  void on_timer_fire(TaskId task_id, SimTime ideal, EventId event);
+  void on_timer_fire(Task& task, SimTime ideal);
   void finish_task(Task& task);
   [[nodiscard]] bool cpu_idle_for_wake(CpuId cpu) const;
   [[nodiscard]] SimDuration quantum_for(const Task& task) const;
@@ -341,10 +341,11 @@ class RtKernel {
   } m_;
   std::vector<Cpu> cpus_;
   std::vector<std::unique_ptr<Task>> tasks_;
-  /// O(1) id lookup — every event callback resolves its task through this.
+  /// Dense id index — every event callback resolves its task through this.
   /// Entries persist for finished tasks (stale-event callbacks must still
-  /// find them and observe kFinished).
-  std::unordered_map<TaskId, Task*> tasks_by_id_;
+  /// find them and observe kFinished); ids a failed create consumed stay
+  /// nullptr, as does slot 0 (ids start at 1).
+  std::vector<Task*> tasks_by_id_;
   /// O(1) name lookup for live (non-finished) tasks; a finished task's name
   /// becomes reusable, matching the historical linear-scan semantics.
   std::unordered_map<std::string, TaskId, StringHash, std::equal_to<>>

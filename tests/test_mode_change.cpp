@@ -264,6 +264,35 @@ TEST(ModeChange, ReRegisteredDisabledNameIsNotRestored) {
   EXPECT_EQ(modes.history().back().restores, 0u);
 }
 
+TEST(ModeChange, LateRegistrantReportsTheContractItWasAdmittedAt) {
+  ModeWorld world;
+  auto a = mode_component("a", 0.3, 0);
+  a.modes.push_back(budget_mode("degraded", 0.1));
+  ASSERT_TRUE(world.drcr.register_component(std::move(a)).ok());
+  ModeChangeController& modes = world.drcr.mode_controller();
+  ASSERT_TRUE(modes.transition_to("degraded").ok());
+
+  // `b` arrives while `degraded` is active: it is admitted at its base 0.5,
+  // and its health reports that contract, not its `degraded` budget.
+  auto b = mode_component("b", 0.5, 0);
+  b.modes.push_back(budget_mode("degraded", 0.1));
+  ASSERT_TRUE(world.drcr.register_component(std::move(b)).ok());
+  EXPECT_EQ(world.drcr.state_of("b"), ComponentState::kActive);
+  EXPECT_EQ(world.drcr.system_view().declared_utilization(0), 0.1 + 0.5);
+  auto health = world.drcr.component_health("b");
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->current_mode, "degraded");
+  EXPECT_EQ(health->declared_usage, 0.5);
+
+  // The next transition is the first to move `b` to a mode contract.
+  ASSERT_TRUE(modes.transition_to("").ok());
+  ASSERT_TRUE(modes.transition_to("degraded").ok());
+  health = world.drcr.component_health("b");
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->declared_usage, 0.1);
+  EXPECT_EQ(world.drcr.system_view().declared_utilization(0), 0.1 + 0.1);
+}
+
 TEST(ModeChange, FreedBudgetReadmitsUnsatisfiedComponents) {
   ModeWorld world;
   auto big = mode_component("big", 0.5, 0);

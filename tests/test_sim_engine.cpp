@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -170,6 +176,35 @@ TEST(SimEngine, RunToCompletionDrainsAndAlignsClocks) {
   EXPECT_EQ(h2->now(), 900);
 }
 
+TEST(SimEngine, RunUntilInsideACallbackKeepsGlobalOrder) {
+  // The outer event's shard also holds a later event: the nested run must
+  // still interleave it with the other shard's earlier ones.
+  SimEngine engine(EngineConfig{.shards = 2});
+  auto other = engine.shard_handle(1);
+  std::vector<SimTime> fired;
+  auto record = [&] { fired.push_back(engine.now() + other->now()); };
+  engine.schedule_at(40, record);
+  other->schedule_at(20, record);
+  other->schedule_at(30, record);
+  engine.schedule_at(10, [&] { engine.run_until(35); });
+  engine.run_until(100);
+  // Clocks: shard 0 at 10 while shard 1 fires 20 and 30, then shard 1 at 35
+  // (the nested run's end) when shard 0 fires 40.
+  EXPECT_EQ(fired, (std::vector<SimTime>{10 + 20, 10 + 30, 40 + 35}));
+}
+
+TEST(SimEngine, ThrowingCallbackLeavesTheOrderIntact) {
+  SimEngine engine(EngineConfig{.shards = 2});
+  auto other = engine.shard_handle(1);
+  std::vector<int> fired;
+  engine.schedule_at(10, [] { throw std::runtime_error("callback failed"); });
+  engine.schedule_at(30, [&] { fired.push_back(30); });
+  other->schedule_at(20, [&] { fired.push_back(20); });
+  EXPECT_THROW(engine.run_until(100), std::runtime_error);
+  engine.run_until(100);
+  EXPECT_EQ(fired, (std::vector<int>{20, 30}));
+}
+
 // ------------------------------------------- (time, seq, shard) order ----
 
 TEST(TotalOrder, EventQueuePopsByTimeThenKey) {
@@ -310,6 +345,221 @@ TEST(RemoteSend, PinballAcrossShardsIsDeterministic) {
   const auto first = timeline();
   EXPECT_GE(first.first.size() + first.second.size(), 5u);
   EXPECT_EQ(timeline(), first);
+}
+
+// ------------------------------------------- ordering differential ----
+
+/// Drives an EngineCore with random same-shard schedules, cross-shard
+/// schedules, message posts and cancels (live, fired and stale ids), from
+/// the top level and from inside callbacks, and mirrors every operation in a
+/// reference model: a std::set of pending items sorted by (when, key), with
+/// the keys and clamped times the documented rules give. Every fired item
+/// must be the model's minimum.
+class OrderingDifferential {
+ public:
+  using Fired = std::tuple<SimTime, std::uint64_t, ShardId, std::size_t>;
+
+  OrderingDifferential(std::size_t shards, std::uint64_t seed)
+      : core_(EngineConfig{.shards = shards, .lookahead = kLookahead}),
+        rng_(seed),
+        clock_(shards, 0),
+        seq_(shards, 1) {
+    for (ShardId s = 0; s < shards; ++s) {
+      core_.set_message_sink(
+          s, MessageSink{[](void* ctx, void* target, Message) {
+                           static_cast<OrderingDifferential*>(ctx)->fire(
+                               *static_cast<Item*>(target));
+                         },
+                         this});
+    }
+  }
+
+  void run(int rounds, int ops_per_round) {
+    for (int round = 0; round < rounds; ++round) {
+      for (int i = 0; i < ops_per_round; ++i) random_op(random_shard());
+      deadline_ += draw(0, 400);
+      core_.run_until(deadline_);
+      for (std::size_t s = 0; s < clock_.size(); ++s) {
+        clock_[s] = std::max(clock_[s], deadline_);
+      }
+      check_state(deadline_);
+    }
+    deadline_ = kSimTimeNever;
+    core_.run_to_completion(10'000'000);
+    const SimTime last = *std::max_element(clock_.begin(), clock_.end());
+    for (SimTime& clock : clock_) clock = last;
+    check_state(last);
+    EXPECT_EQ(core_.pending_events_total(), 0u);
+    EXPECT_GT(fired_total_, 0u);
+  }
+
+ private:
+  static constexpr SimDuration kLookahead = 30;
+  static constexpr int kSpawnBudget = 4000;
+
+  struct Item {
+    std::size_t index = 0;
+    SimTime when = 0;
+    std::uint64_t key = 0;
+    ShardId shard = 0;
+    bool message = false;
+    bool done = false;  ///< fired or cancelled
+    EventId id = kInvalidEvent;
+  };
+  using ModelKey = std::tuple<SimTime, std::uint64_t, std::size_t>;
+
+  SimTime draw(SimTime lo, SimTime hi) {
+    return std::uniform_int_distribution<SimTime>(lo, hi)(rng_);
+  }
+  ShardId random_shard() {
+    return static_cast<ShardId>(
+        draw(0, static_cast<SimTime>(clock_.size()) - 1));
+  }
+
+  Item& issue(ShardId ctx, ShardId target, SimTime when, bool message) {
+    Item& item = items_.emplace_back();
+    item.index = items_.size() - 1;
+    item.key = (seq_[ctx]++ << kShardIdBits) | ctx;
+    item.when = ctx == target ? std::max(when, clock_[ctx])
+                              : std::max(when, clock_[ctx] + kLookahead);
+    item.shard = target;
+    item.message = message;
+    model_.emplace(item.when, item.key, item.index);
+    if (message) ++model_messages_;
+    return item;
+  }
+
+  void random_op(ShardId ctx) {
+    const SimTime now = clock_[ctx];
+    const auto kind = draw(0, 9);
+    if (kind < 4) {  // same shard, sometimes in the past
+      const SimTime when = now + draw(-20, 60) * 5;
+      Item& item = issue(ctx, ctx, when, false);
+      item.id = core_.schedule(ctx, ctx, when, [this, &item] { fire(item); });
+      cancellable_.push_back(&item);
+    } else if (kind < 6) {  // cross shard (same shard when there is one)
+      const ShardId target = random_shard();
+      const SimTime when = now + draw(0, 20) * 5;
+      Item& item = issue(ctx, target, when, false);
+      const EventId id =
+          core_.schedule(ctx, target, when, [this, &item] { fire(item); });
+      if (target == ctx) {
+        item.id = id;
+        cancellable_.push_back(&item);
+      } else {
+        EXPECT_EQ(id, kInvalidEvent);
+      }
+    } else if (kind < 8) {  // message, same or cross shard
+      const ShardId target = random_shard();
+      const SimTime when = now + draw(-5, 20) * 5;
+      Item& item = issue(ctx, target, when, true);
+      core_.post_message(ctx, target, when, &item, Message("m", 1));
+    } else {  // cancel a live, fired or already-cancelled event
+      if (cancellable_.empty()) {
+        core_.cancel(kInvalidEvent);
+        return;
+      }
+      // Half the picks come from the newest few, which are mostly live.
+      const auto count = static_cast<SimTime>(cancellable_.size());
+      const SimTime lo = draw(0, 1) == 0 ? 0 : std::max<SimTime>(0, count - 8);
+      Item& item =
+          *cancellable_[static_cast<std::size_t>(draw(lo, count - 1))];
+      core_.cancel(item.id);
+      if (!item.done) {
+        model_.erase(ModelKey{item.when, item.key, item.index});
+        item.done = true;
+      }
+    }
+  }
+
+  void fire(Item& item) {
+    ASSERT_FALSE(model_.empty());
+    const auto [when, key, index] = *model_.begin();
+    model_.erase(model_.begin());
+    const Item& expected = items_[index];
+    if (expected.message) --model_messages_;
+    clock_[expected.shard] = when;
+    EXPECT_LE(when, deadline_);
+    EXPECT_EQ((Fired{core_.now(item.shard), item.key, item.shard, item.index}),
+              (Fired{when, key, expected.shard, index}))
+        << "fired item " << fired_total_;
+    EXPECT_FALSE(item.done);
+    item.done = true;
+    ++fired_total_;
+    // Callbacks schedule further work from their own shard's context.
+    const auto spawn = draw(0, 2);
+    for (SimTime i = 0; i < spawn && spawned_ < kSpawnBudget; ++i, ++spawned_) {
+      random_op(item.shard);
+    }
+  }
+
+  void check_state(SimTime deadline) {
+    if (!model_.empty()) {
+      EXPECT_GT(std::get<0>(*model_.begin()), deadline);
+    }
+    EXPECT_EQ(core_.pending_events_total(), model_.size());
+    EXPECT_EQ(core_.pending_messages_total(), model_messages_);
+    for (ShardId s = 0; s < clock_.size(); ++s) {
+      EXPECT_EQ(core_.now(s), clock_[s]) << "shard " << s;
+    }
+  }
+
+  EngineCore core_;
+  std::mt19937_64 rng_;
+  std::vector<SimTime> clock_;
+  std::vector<std::uint64_t> seq_;
+  std::deque<Item> items_;
+  std::vector<Item*> cancellable_;
+  std::set<ModelKey> model_;
+  std::size_t model_messages_ = 0;
+  SimTime deadline_ = 0;  ///< of the run in progress
+  std::size_t fired_total_ = 0;
+  int spawned_ = 0;
+};
+
+TEST(EngineOrdering, MatchesSortedReferenceModel) {
+  for (const std::size_t shards : {1u, 2u, 16u, 256u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " seed=" + std::to_string(seed));
+      OrderingDifferential(shards, seed).run(/*rounds=*/40,
+                                             /*ops_per_round=*/60);
+    }
+  }
+}
+
+// ------------------------------------------------------- work counts ----
+
+TEST(EngineWorkCount, ShardSelectionIsLogarithmic) {
+  // 256 shards, each with one self-replenishing event at its own period:
+  // every firing re-reads one leaf, so picking the next shard costs
+  // log2(256) comparisons, where a scan over the shards costs 255.
+  constexpr std::size_t kShards = 256;
+  EngineCore core(EngineConfig{.shards = kShards});
+  struct Tick {
+    EngineCore* core;
+    ShardId shard;
+    void operator()() const {
+      core->schedule(shard, shard, core->now(shard) + 1000 + shard, *this);
+    }
+  };
+  for (ShardId s = 0; s < kShards; ++s) {
+    core.schedule(s, s, s, Tick{&core, s});
+  }
+  const EngineWork before = core.work();
+  const std::size_t fired = core.run_until(2'000'000);
+  const EngineWork after = core.work();
+  ASSERT_GT(fired, kShards * 100);
+  EXPECT_EQ(after.events_fired - before.events_fired, fired);
+  const std::uint64_t compares = after.head_compares - before.head_compares;
+  const auto log2_shards = static_cast<std::uint64_t>(std::bit_width(kShards - 1));
+  EXPECT_LE(compares, 2 * log2_shards * fired);
+  // A one-shard engine needs no selection at all.
+  EngineCore single(EngineConfig{});
+  single.schedule(0, 0, 0, Tick{&single, 0});
+  single.run_until(1'000'000);
+  EXPECT_EQ(single.work().head_compares, 0u);
+  EXPECT_GT(single.work().events_fired, 900u);
 }
 
 }  // namespace
