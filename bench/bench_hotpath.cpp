@@ -269,10 +269,8 @@ int main(int argc, char** argv) {
 
   print_table_header("Event queue (ns/op)", "");
   print_table_row("sched+fire @1000", event_churn(1000, 200'000));
-  print_table_row("sched+fire @1000 x16 shards",
-                  event_churn(1000, 200'000, 16));
-  print_table_row("sched+fire @1000 x256 shards",
-                  event_churn(1000, 200'000, 256));
+  print_table_row("sched+fire x16 shards", event_churn(1000, 200'000, 16));
+  print_table_row("sched+fire x256 shards", event_churn(1000, 200'000, 256));
   print_table_row("sched+cancel @1000", event_cancel(1000, 200'000));
 
   print_table_header("Kernel dispatch (ns/event)",

@@ -129,11 +129,12 @@ Result<void> Drcr::register_component(ComponentDescriptor descriptor,
   }
   ComponentRecord record;
   record.owner = owner;
-  record.state = descriptor.enabled ? ComponentState::kUnsatisfied
-                                    : ComponentState::kDisabled;
   record.descriptor = std::move(descriptor);
   const std::string name = record.descriptor.name;
-  components_.emplace(name, std::move(record));
+  ComponentRecord& stored =
+      components_.emplace(name, std::move(record)).first->second;
+  set_state(stored, stored.descriptor.enabled ? ComponentState::kUnsatisfied
+                                              : ComponentState::kDisabled);
   emit(DrcrEventType::kRegistered, name);
   if (config_.auto_resolve) resolve();
   return Result<void>::success();
@@ -149,6 +150,7 @@ Result<void> Drcr::unregister_component(const std::string& name) {
   }
   // Keep the counter == sum-over-records identity exact across churn.
   retired_violations_ += found->second.contract_violations;
+  unsatisfied_.erase(found->first);
   components_.erase(found);
   if (mode_controller_ != nullptr) mode_controller_->forget(name);
   forget_system_member(name);
@@ -191,7 +193,7 @@ Result<void> Drcr::enable_component(const std::string& name) {
     return Result<void>::success();  // idempotent
   }
   found->second.quarantined = false;  // enable lifts a quarantine
-  found->second.state = ComponentState::kUnsatisfied;
+  set_state(found->second, ComponentState::kUnsatisfied);
   emit(DrcrEventType::kEnabled, name);
   if (config_.auto_resolve) resolve();
   return Result<void>::success();
@@ -209,7 +211,7 @@ Result<void> Drcr::disable_component(const std::string& name) {
   if (record.state == ComponentState::kActive) {
     deactivate(record, "component disabled");
   }
-  record.state = ComponentState::kDisabled;
+  set_state(record, ComponentState::kDisabled);
   emit(DrcrEventType::kDisabled, name);
   cascade_departures();
   if (config_.auto_resolve) resolve();
@@ -360,15 +362,16 @@ bool Drcr::resolve_round() {
     if (!batch) return;
     each_resolver([&](ResolvingService& r) { r.end_batch(committed); });
   };
-  std::set<std::string> excluded;  // members that failed activation mechanics
+  // Members that failed activation mechanics.
+  std::set<std::string, std::less<>> excluded;
   for (;;) {
-    // 1. Candidates: everything unsatisfied, minus mechanical failures.
+    // 1. Candidates: everything unsatisfied, minus mechanical failures —
+    //    read from the name-ordered index, so only pending records are
+    //    visited.
     std::vector<ComponentRecord*> candidates;
-    for (auto& [name, record] : components_) {
-      if (record.state == ComponentState::kUnsatisfied &&
-          !excluded.contains(name)) {
-        candidates.push_back(&record);
-      }
+    work_.candidates_visited += unsatisfied_.size();
+    for (const auto& [name, record] : unsatisfied_) {
+      if (!excluded.contains(name)) candidates.push_back(record);
     }
     if (candidates.empty()) return false;
 
@@ -636,7 +639,7 @@ Result<std::unique_ptr<RtComponent>> Drcr::instantiate(
 }
 
 void Drcr::finalize_activation(ComponentRecord& record) {
-  record.state = ComponentState::kActive;
+  set_state(record, ComponentState::kActive);
   record.last_reason.clear();
   record.last_code = ErrorCode::kNone;
   record.activation_order = next_activation_order_++;
@@ -719,9 +722,18 @@ void Drcr::deactivate(ComponentRecord& record, const std::string& reason) {
     record.instance->deactivate();
     record.instance.reset();
   }
-  record.state = ComponentState::kUnsatisfied;
+  set_state(record, ComponentState::kUnsatisfied);
   record.last_reason = reason;
   emit(DrcrEventType::kDeactivated, record.descriptor.name, reason);
+}
+
+void Drcr::set_state(ComponentRecord& record, ComponentState state) {
+  record.state = state;
+  if (state == ComponentState::kUnsatisfied) {
+    unsatisfied_.emplace(record.descriptor.name, &record);
+  } else {
+    unsatisfied_.erase(record.descriptor.name);
+  }
 }
 
 Result<cap::Connection*> Drcr::connect_capability(const std::string& client,
@@ -792,10 +804,7 @@ std::vector<std::string> Drcr::component_names() const {
 }
 
 std::size_t Drcr::active_count() const {
-  return static_cast<std::size_t>(std::count_if(
-      components_.begin(), components_.end(), [](const auto& entry) {
-        return entry.second.state == ComponentState::kActive;
-      }));
+  return contract_cache_.active().size();
 }
 
 HybridComponent* Drcr::instance_of(const std::string& name) const {
@@ -940,9 +949,11 @@ void Drcr::emit(DrcrEventType type, const std::string& component,
     case DrcrEventType::kDisabled:
       break;  // lifecycle toggles are visible through the event ring only
   }
-  log::Line(log::Level::kInfo, "drcr", event.when)
-      << to_string(type) << " " << component
-      << (event.reason.empty() ? "" : (": " + event.reason));
+  {
+    log::Line line(log::Level::kInfo, "drcr", event.when);
+    line << to_string(type) << " " << component;
+    if (!event.reason.empty()) line << ": " << event.reason;
+  }
   // During shutdown only the log records the teardown: listeners (and the
   // event bus) may already be destroyed or mid-destruction.
   if (shutting_down_) return;

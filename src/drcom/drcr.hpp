@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cap/channel.hpp"
@@ -203,12 +204,14 @@ class Drcr {
   /// auto_resolve is on.
   void resolve();
 
-  /// Deterministic reconfiguration work: departure-cascade passes run and
-  /// functional_satisfied evaluations. Plain counters, kept out of the
+  /// Deterministic reconfiguration work: departure-cascade passes run,
+  /// functional_satisfied evaluations, and the records candidate collection
+  /// visited (only UNSATISFIED ones). Plain counters, kept out of the
   /// metrics registry so exports stay byte-identical.
   struct WorkCounts {
     std::uint64_t cascade_passes = 0;
     std::uint64_t functional_checks = 0;
+    std::uint64_t candidates_visited = 0;
   };
   [[nodiscard]] const WorkCounts& work() const { return work_; }
 
@@ -228,6 +231,7 @@ class Drcr {
   [[nodiscard]] std::optional<ComponentHealth> component_health(
       const std::string& name) const;
   [[nodiscard]] std::vector<std::string> component_names() const;
+  /// O(1): the ContractCache holds exactly the ACTIVE descriptors.
   [[nodiscard]] std::size_t active_count() const;
   /// The live hybrid instance (nullptr unless ACTIVE). Non-const: callers
   /// legitimately send management commands through it.
@@ -394,6 +398,8 @@ class Drcr {
   /// against this provider. No-op for protocol-less descriptors.
   void bind_capability_routes(ComponentRecord& record);
   void deactivate(ComponentRecord& record, const std::string& reason);
+  /// The one writer of ComponentRecord::state; keeps unsatisfied_ in step.
+  void set_state(ComponentRecord& record, ComponentState state);
   void note_rejection(ComponentRecord& record, ErrorCode code,
                       const std::string& reason);
   [[nodiscard]] Result<std::unique_ptr<RtComponent>> instantiate(
@@ -422,6 +428,10 @@ class Drcr {
   ComponentFactoryRegistry factories_;
   std::unique_ptr<ResolvingService> internal_resolver_;
   std::map<std::string, ComponentRecord> components_;
+  /// The UNSATISFIED records in name order — resolve_round's candidates.
+  /// Keys view the records' own names, which live in the components_ nodes;
+  /// unregister_component erases the entry before the record.
+  std::map<std::string_view, ComponentRecord*> unsatisfied_;
   std::map<std::string, SystemDescriptor> systems_;  ///< deployed compositions
   obs::EventRing<DrcrEvent> events_;
   ContractCache contract_cache_;

@@ -497,6 +497,7 @@ ResponseTimeResolver::CpuSet& ResponseTimeResolver::session_cpu(
 
 void ResponseTimeResolver::begin_batch(const SystemView& view) {
   session_.clear();
+  admitted_.clear();
   pending_.valid = false;
   in_batch_ = view.cache != nullptr;
   session_view_id_ = view.id;
@@ -510,7 +511,13 @@ void ResponseTimeResolver::begin_batch(const SystemView& view) {
 
 void ResponseTimeResolver::on_candidate_admitted(
     const ComponentDescriptor& candidate) {
-  if (!in_batch_ || !pending_.valid || pending_.name != candidate.name) {
+  if (!in_batch_) return;
+  // Every admitted candidate, aperiodic ones too, bumps its CPU's cache
+  // generation once when it activates; end_batch checks against this.
+  const CpuId cpu = candidate.target_cpu();
+  if (cpu >= admitted_.size()) admitted_.resize(cpu + 1, 0);
+  ++admitted_[cpu];
+  if (!pending_.valid || pending_.name != candidate.name) {
     return;  // not ours (aperiodic candidates never leave a pending entry)
   }
   pending_.valid = false;
@@ -544,25 +551,18 @@ void ResponseTimeResolver::end_batch(bool committed) {
     if (!set.built) continue;
     // Safety net: a reentrant lifecycle change during activation (a listener
     // deactivating some component mid-commit) would leave this session
-    // stale. Memoize only when it mirrors the cache exactly.
-    const RecurringMap& recurring =
-        session_cache_->recurring_by_priority(static_cast<CpuId>(cpu));
-    bool matches = recurring.size() == set.entries.size();
-    if (matches) {
-      std::size_t i = 0;
-      for (const auto& [key, record] : recurring) {
-        if (set.entries[i].descriptor != record.descriptor) {
-          matches = false;
-          break;
-        }
-        ++i;
-      }
-    }
-    if (!matches) {
+    // stale. Each activation bumps its CPU's generation exactly once and
+    // generations never go back, so the session mirrors the cache exactly
+    // when the generation moved by the admissions alone.
+    const auto id = static_cast<CpuId>(cpu);
+    const std::uint64_t admitted = cpu < admitted_.size() ? admitted_[cpu] : 0;
+    const std::uint64_t generation = session_cache_->generation(id);
+    if (generation != set.generation + admitted ||
+        session_cache_->recurring_count_on(id) != set.entries.size()) {
       memo_[cpu].built = false;
       continue;
     }
-    set.generation = session_cache_->generation(static_cast<CpuId>(cpu));
+    set.generation = generation;
     memo_[cpu] = std::move(set);
   }
   session_.clear();

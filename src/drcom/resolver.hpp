@@ -323,6 +323,8 @@ class ResponseTimeResolver : public ResolvingService {
   std::uint64_t session_view_id_ = 0;
   const ContractCache* session_cache_ = nullptr;
   std::vector<CpuSet> session_;
+  /// Candidates the DRCR confirmed admitted this pass, per target CPU.
+  std::vector<std::uint64_t> admitted_;
 
   /// Result of the last accepting admit(), folded into the session only if
   /// the DRCR confirms the candidate passed every other resolver too.

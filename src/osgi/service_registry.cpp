@@ -72,9 +72,11 @@ ServiceRegistration ServiceRegistry::register_service(
   entry->ranking = entry->properties.get_int("service.ranking").value_or(0);
   entries_.push_back(entry);
   index_entry(entry);
-  log::Line(log::Level::kDebug, "osgi.registry")
-      << "registered service #" << entry->id << " "
-      << entry->properties.to_string();
+  if (log::enabled(log::Level::kDebug)) {
+    log::Line(log::Level::kDebug, "osgi.registry")
+        << "registered service #" << entry->id << " "
+        << entry->properties.to_string();
+  }
   fire(ServiceEventType::kRegistered, entry);
   return ServiceRegistration{entry, this};
 }

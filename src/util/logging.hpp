@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -37,19 +38,24 @@ void write(Level level, std::string_view component, SimTime when,
            std::string_view message);
 
 /// Stream-style helper: log::Line(log::Level::kInfo, "drcr", now) << "x=" << x;
+/// The stream is built only when `level` is enabled at construction, so a
+/// disabled line costs one level check. Arguments are still evaluated:
+/// guard an expensive one with `if (log::enabled(level))`.
 class Line {
  public:
   Line(Level level, std::string_view component, SimTime when = -1)
-      : level_(level), component_(component), when_(when) {}
+      : level_(level), component_(component), when_(when) {
+    if (enabled(level)) stream_.emplace();
+  }
   Line(const Line&) = delete;
   Line& operator=(const Line&) = delete;
   ~Line() {
-    if (enabled(level_)) write(level_, component_, when_, stream_.str());
+    if (stream_.has_value()) write(level_, component_, when_, stream_->str());
   }
 
   template <typename T>
   Line& operator<<(const T& value) {
-    if (enabled(level_)) stream_ << value;
+    if (stream_.has_value()) *stream_ << value;
     return *this;
   }
 
@@ -57,7 +63,7 @@ class Line {
   Level level_;
   std::string_view component_;
   SimTime when_;
-  std::ostringstream stream_;
+  std::optional<std::ostringstream> stream_;
 };
 
 }  // namespace drt::log

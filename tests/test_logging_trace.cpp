@@ -1,8 +1,11 @@
 // Logging sink/levels and kernel execution-trace behaviour.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
+#include "drcom/drcr.hpp"
+#include "osgi/service_registry.hpp"
 #include "rtos/kernel.hpp"
 #include "test_helpers.hpp"
 #include "util/logging.hpp"
@@ -68,6 +71,71 @@ TEST(Logging, StreamStyleLine) {
   { log::Line(log::Level::kInfo, "mod", 42) << "x=" << 7 << " y=" << 2.5; }
   ASSERT_EQ(capture.lines.size(), 1u);
   EXPECT_NE(capture.lines[0].find("x=7 y=2.5"), std::string::npos);
+}
+
+TEST(Logging, DisabledLineSkipsItsStream) {
+  LogCapture capture;
+  log::set_level(log::Level::kWarn);
+  { log::Line(log::Level::kDebug, "mod") << "dropped " << 1; }
+  { log::Line(log::Level::kWarn, "mod") << "kept " << 2; }
+  ASSERT_EQ(capture.lines.size(), 1u);
+  EXPECT_NE(capture.lines[0].find("kept 2"), std::string::npos);
+}
+
+TEST(Logging, RegistryDebugLineCarriesFullProperties) {
+  // The registration line is guarded by log::enabled(kDebug), so it builds
+  // the property text only when it is emitted — and then in full.
+  LogCapture capture;
+  log::set_level(log::Level::kDebug);
+  osgi::ServiceRegistry registry;
+  osgi::Properties properties;
+  properties.set("component.name", std::string("sensor"));
+  properties.set("service.ranking", static_cast<std::int64_t>(7));
+  auto registration = registry.register_service(
+      3, {"test.Service"}, std::make_shared<int>(1), properties);
+  const std::string expected =
+      "[DEBUG] [osgi.registry] registered service #" +
+      std::to_string(registration.reference().service_id()) + " " +
+      registration.reference().properties().to_string();
+  ASSERT_EQ(capture.lines.size(), 1u);
+  EXPECT_EQ(capture.lines[0], expected);
+  for (const char* key : {"component.name", "sensor", "service.ranking",
+                          "objectClass", "test.Service", "service.bundleid"}) {
+    EXPECT_NE(capture.lines[0].find(key), std::string::npos) << key;
+  }
+
+  // One level up the registration logs nothing.
+  log::set_level(log::Level::kInfo);
+  auto quiet = registry.register_service(3, {"test.Service"},
+                                         std::make_shared<int>(2));
+  EXPECT_EQ(capture.lines.size(), 1u);
+  registration.unregister();
+  quiet.unregister();
+}
+
+TEST(Logging, DrcrEventLinesKeepTheirFormat) {
+  // Lifecycle lines append ": <reason>" only when the event carries one.
+  LogCapture capture;
+  log::set_level(log::Level::kInfo);
+  rtos::SimEngine engine;
+  osgi::Framework framework;
+  rtos::RtKernel kernel(engine, quiet_config());
+  drcom::Drcr drcr(framework, kernel);
+  drcom::ComponentDescriptor d;
+  d.name = "c0";
+  d.bincode = "none";
+  d.type = rtos::TaskType::kPeriodic;
+  d.cpu_usage = 0.1;
+  d.periodic = drcom::PeriodicSpec{100.0, 0, 5};
+  ASSERT_TRUE(drcr.register_component(d).ok());
+  std::vector<std::string> lines;
+  for (const std::string& line : capture.lines) {
+    if (line.find("[drcr]") != std::string::npos) lines.push_back(line);
+  }
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       "[INFO] t=0ns [drcr] REGISTERED c0",
+                       "[INFO] t=0ns [drcr] REJECTED c0: no implementation "
+                       "registered for bincode 'none'"}));
 }
 
 TEST(Logging, LevelNames) {

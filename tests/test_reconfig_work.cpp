@@ -3,8 +3,10 @@
 // costs no pass, yet every exit a provider can take (unregister, disable,
 // quarantine, mode drop, resolver revocation, bundle stop) must still strand
 // its consumer. A mode transition re-folds each touched CPU once, however
-// many components it re-budgets. Drcr::work() and ContractCache::refolds()
-// pin both as deterministic counts.
+// many components it re-budgets. A resolution round collects candidates
+// from the UNSATISFIED index only, so a registration visits one record, not
+// the whole registered set. Drcr::work() and ContractCache::refolds() pin
+// all three as deterministic counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -218,6 +220,68 @@ TEST_F(PipelineWorld, PortlessDeparturesRunNoCascadePass) {
   EXPECT_EQ(drcr.work().functional_checks, before.functional_checks);
   EXPECT_EQ(drcr.state_of("sink"), ComponentState::kActive);
   EXPECT_EQ(drcr.active_count(), kBackground);
+}
+
+TEST_F(PipelineWorld, CandidateCollectionVisitsOnlyPendingRecords) {
+  ASSERT_EQ(drcr.active_count(), kBackground);
+  // Nothing pending: the round reads an empty UNSATISFIED index. (A
+  // full-map scan visited all 256 records, and 257 after the next line.)
+  Drcr::WorkCounts before = drcr.work();
+  drcr.resolve();
+  EXPECT_EQ(drcr.work().candidates_visited, before.candidates_visited);
+  // One registration: the round that activates it visits it alone, and the
+  // closing round finds the index empty again.
+  before = drcr.work();
+  ASSERT_TRUE(drcr.register_component(idle_component("late", 0.001, 0)).ok());
+  EXPECT_EQ(drcr.state_of("late"), ComponentState::kActive);
+  EXPECT_EQ(drcr.work().candidates_visited - before.candidates_visited, 1u);
+  // A component that stays rejected is the only record each round visits.
+  ASSERT_TRUE(drcr.register_component(idle_component("huge", 0.95, 1)).ok());
+  EXPECT_EQ(drcr.state_of("huge"), ComponentState::kUnsatisfied);
+  before = drcr.work();
+  drcr.resolve();
+  EXPECT_EQ(drcr.work().candidates_visited - before.candidates_visited, 1u);
+}
+
+TEST_F(PipelineWorld, ActiveCountMatchesAScanAfterEveryStep) {
+  const auto scan = [this] {
+    std::size_t active = 0;
+    for (const std::string& name : drcr.component_names()) {
+      if (drcr.state_of(name) == ComponentState::kActive) ++active;
+    }
+    return active;
+  };
+  const auto check = [&](const char* what) {
+    EXPECT_EQ(drcr.active_count(), scan()) << what;
+  };
+  check("256 registered");
+  register_pipeline();
+  check("pipeline registered");
+  ComponentDescriptor off = idle_component("off", 0.01, 0);
+  off.enabled = false;
+  ASSERT_TRUE(drcr.register_component(std::move(off)).ok());
+  check("registered disabled");
+  ASSERT_TRUE(drcr.register_component(idle_component("huge", 0.95, 1)).ok());
+  check("registered unsatisfied");
+  ASSERT_TRUE(drcr.disable_component("src").ok());
+  check("provider disabled, consumer stranded");
+  ASSERT_TRUE(drcr.enable_component("off").ok());
+  check("enabled");
+  ASSERT_TRUE(drcr.enable_component("src").ok());
+  check("provider enabled, consumer back");
+  ASSERT_TRUE(drcr.disable_component(background_name(3)).ok());
+  check("background disabled");
+  ASSERT_TRUE(drcr.unregister_component("src").ok());
+  check("provider unregistered");
+  ASSERT_TRUE(drcr.unregister_component("huge").ok());
+  check("unsatisfied unregistered");
+  ASSERT_TRUE(drcr.unregister_component(background_name(3)).ok());
+  check("disabled unregistered");
+  ASSERT_TRUE(drcr.unregister_component(background_name(4)).ok());
+  check("active unregistered");
+  ASSERT_TRUE(drcr.enable_component("off").ok());
+  check("enable is idempotent");
+  EXPECT_EQ(drcr.active_count(), kBackground - 2 + 1);
 }
 
 TEST(ReconfigWorkCount, ModeTransitionRefoldsEachTouchedCpuOnce) {

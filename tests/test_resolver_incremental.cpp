@@ -472,6 +472,57 @@ TEST(IncrementalDifferential, RandomLifecycleScriptsTakeIdenticalDecisions) {
   }
 }
 
+// ------------------------------------------ RTA memo commit check ----
+
+TEST(IncrementalDifferential, ReentrantDisableDuringCommitDropsTheRtaMemo) {
+  // A listener disables `victim` when it sees `trig` ACTIVATED, i.e. in
+  // the middle of the batch that commits `trig` on the same CPU. That
+  // batch's session still holds `victim`, so the memo must be dropped;
+  // kept, it would charge `victim`'s interference to every later admission
+  // on CPU 0 and reject `probe`, which fits once `victim` is gone.
+  World incremental(true);
+  World reference(false);
+  const std::vector<std::string> pool = {"victim", "trig", "probe",
+                                         "probe2"};
+  for (World* world : {&incremental, &reference}) {
+    world->drcr.set_internal_resolver(std::make_unique<ResponseTimeResolver>());
+    world->drcr.add_listener([world](const DrcrEvent& event) {
+      if (event.type == DrcrEventType::kActivated &&
+          event.component == "trig") {
+        (void)world->drcr.disable_component("victim");
+      }
+    });
+  }
+  int step = 0;
+  auto both = [&](const ComponentDescriptor& d) {
+    ASSERT_TRUE(incremental.drcr.register_component(d).ok()) << d.name;
+    ASSERT_TRUE(reference.drcr.register_component(d).ok()) << d.name;
+    expect_identical(incremental, reference, pool, step++);
+  };
+  // T = 10 ms everywhere; C = U * T plus 1.1 us of per-job overhead.
+  both(periodic_component("victim", 0.4, 0, 100.0, 5));
+  both(periodic_component("trig", 0.1, 0, 100.0, 6));
+  ASSERT_EQ(incremental.drcr.state_of("victim"), ComponentState::kDisabled);
+  ASSERT_EQ(incremental.drcr.state_of("trig"), ComponentState::kActive);
+  // R = 6 + 1 ms fits D = 10 ms; with `victim` still charged it is 11 ms.
+  both(periodic_component("probe", 0.6, 0, 100.0, 7));
+  EXPECT_EQ(incremental.drcr.state_of("probe"), ComponentState::kActive);
+  // Rejected in both worlds, with one text citing the same response time.
+  both(periodic_component("probe2", 0.35, 0, 100.0, 8));
+  EXPECT_EQ(incremental.drcr.state_of("probe2"),
+            ComponentState::kUnsatisfied);
+  EXPECT_NE(incremental.drcr.component_health("probe2")->reason.find(
+                "RTA: task 'probe2'"),
+            std::string::npos);
+  // And `victim`'s return is judged against the live set, not the memo.
+  ASSERT_TRUE(incremental.drcr.enable_component("victim").ok());
+  ASSERT_TRUE(reference.drcr.enable_component("victim").ok());
+  expect_identical(incremental, reference, pool, step++);
+  const auto& rta = dynamic_cast<const ResponseTimeResolver&>(
+      incremental.drcr.internal_resolver());
+  EXPECT_GT(rta.work().solves, 0u);
+}
+
 // ------------------------------------ churn-scale RTA differential ----
 
 /// Churn-shaped timing: four harmonic rates over three priority levels, so
